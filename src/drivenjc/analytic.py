@@ -11,7 +11,6 @@ follow in closed form.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ TAU_DEGENERACY = 1e-15
 
 @dataclass(frozen=True)
 class AnalyticSnapshot:
-    """Exact state descriptors at a single time."""
+    """Exact state descriptors, shaped like the broadcast of t and the inputs."""
 
     t: float
     alpha_plus: complex     # field amplitude attached to dressed |0>
@@ -36,38 +35,43 @@ class AnalyticSnapshot:
     c1: complex
 
 
+def _check_times(t) -> None:
+    if np.any(np.less(t, 0)):
+        raise ValueError(f"time must be >= 0, got {np.min(t)}")
+
+
 def coherent_overlap(beta: complex, gamma: complex) -> complex:
     """Inner product <beta|gamma> of two coherent states."""
-    return cmath.exp(
-        -0.5 * abs(beta) ** 2 - 0.5 * abs(gamma) ** 2 + beta.conjugate() * gamma
+    return np.exp(
+        -0.5 * np.abs(beta) ** 2 - 0.5 * np.abs(gamma) ** 2 + np.conj(beta) * gamma
     )
 
 
-def evolve(p: ModelParams, d: DerivedParams, t: float) -> AnalyticSnapshot:
-    """Closed-form state descriptors at time t >= 0.
+def branches(alpha: complex, kappa: float, Omega: float, t: float):
+    """(alpha_plus, alpha_minus, f) at times t >= 0.
 
-    For kappa = 0 the second factor of f(t) is exactly 1 (the kappa/(kappa
-    + i Omega) prefactor vanishes), so f reduces to a pure phase.
+    alpha_pm = alpha exp(-(kappa +- i Omega) t) are the field amplitudes of
+    the dressed |0> and |1> branches, f the coherence factor.  For kappa = 0
+    the second factor of f(t) is exactly 1 (the kappa/(kappa + i Omega)
+    prefactor vanishes), so f reduces to a pure phase.
     """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    k = p.kappa
-    Om = d.Omega_eff
-    alpha = complex(p.alpha)
-    a_plus = alpha * cmath.exp(-(k + 1j * Om) * t)
-    a_minus = alpha * cmath.exp(-(k - 1j * Om) * t)
-    n0 = abs(alpha) ** 2
-    if k == 0.0:
-        f = cmath.exp(-1j * Om * t)
-    else:
-        f = cmath.exp(-1j * Om * t + n0 * (cmath.exp(-2.0 * k * t) - 1.0))
-        f *= cmath.exp(
-            k * n0 / (k + 1j * Om) * (1.0 - cmath.exp(-2.0 * (k + 1j * Om) * t))
-        )
-    tau = coherent_overlap(a_plus, a_minus)
+    _check_times(t)
+    a_plus = alpha * np.exp(-(kappa + 1j * Omega) * t)
+    a_minus = alpha * np.exp(-(kappa - 1j * Omega) * t)
+    n0 = np.abs(alpha) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        damping = np.where(kappa == 0.0, 0.0, kappa * n0 / (kappa + 1j * Omega)
+                           * (1.0 - np.exp(-2.0 * (kappa + 1j * Omega) * t)))
+    f = np.exp(-1j * Omega * t + n0 * (np.exp(-2.0 * kappa * t) - 1.0))
+    return a_plus, a_minus, f * np.exp(damping)
+
+
+def evolve(p: ModelParams, d: DerivedParams, t: float) -> AnalyticSnapshot:
+    """Closed-form state descriptors at times t >= 0."""
+    a_plus, a_minus, f = branches(p.alpha, p.kappa, d.Omega_eff, t)
     return AnalyticSnapshot(
-        t=t, alpha_plus=a_plus, alpha_minus=a_minus, f=f, tau=tau,
-        c0=complex(p.c0), c1=complex(p.c1),
+        t=t, alpha_plus=a_plus, alpha_minus=a_minus, f=f,
+        tau=coherent_overlap(a_plus, a_minus), c0=p.c0, c1=p.c1,
     )
 
 
@@ -96,21 +100,19 @@ def two_qubit_density(s: AnalyticSnapshot) -> np.ndarray:
 
 def concurrence_analytic(s: AnalyticSnapshot) -> float:
     """Closed-form concurrence 2|c0 c1| |f| sqrt(1 - |tau|^2)."""
-    w2 = 1.0 - abs(s.tau) ** 2
-    if w2 < TAU_DEGENERACY:
-        return 0.0
-    c = 2.0 * abs(s.c0) * abs(s.c1) * abs(s.f) * np.sqrt(w2)
-    return float(min(max(c, 0.0), 1.0))
+    w2 = 1.0 - np.abs(s.tau) ** 2
+    with np.errstate(invalid="ignore"):
+        c = 2.0 * np.abs(s.c0) * np.abs(s.c1) * np.abs(s.f) * np.sqrt(w2)
+    return np.where(w2 < TAU_DEGENERACY, 0.0, np.clip(c, 0.0, 1.0))[()]
 
 
 def linear_entropy_analytic(s: AnalyticSnapshot) -> float:
     """Closed-form linear entropy 2|c0|^2 |c1|^2 (1 - |f|^2)."""
-    val = 2.0 * abs(s.c0) ** 2 * abs(s.c1) ** 2 * (1.0 - abs(s.f) ** 2)
-    return float(max(val, 0.0))
+    return np.maximum(
+        2.0 * np.abs(s.c0) ** 2 * np.abs(s.c1) ** 2 * (1.0 - np.abs(s.f) ** 2), 0.0)
 
 
 def photon_number(p: ModelParams, t: float) -> float:
     """Mean cavity photon number |alpha|^2 exp(-2 kappa t)."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    return abs(p.alpha) ** 2 * np.exp(-2.0 * p.kappa * t)
+    _check_times(t)
+    return np.abs(p.alpha) ** 2 * np.exp(-2.0 * p.kappa * t)

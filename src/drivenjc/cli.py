@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,62 +23,79 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
-_DEFAULTS = {
-    "omega": 2.0,
-    "omega0": 1.9,
-    "omega_c": 0.0,
-    "g": 1e-2,
-    "lam": 0.0,
-    "kappa": 1e-3,
-    "alpha_re": 1.0,
-    "alpha_im": 0.0,
-    "c0_re": 1.0 / math.sqrt(2.0),
-    "c0_im": 0.0,
-    "c1_re": 1.0 / math.sqrt(2.0),
-    "c1_im": 0.0,
-    "t_start": 0.0,
-    "t_end": 300.0,
-    "steps": 600,
-    "nmax": None,
-    "tol": 1e-10,
+#: Options of every subcommand: (name, type, default, sweepable, help).  The
+#: name is the config-file and metadata key; the flag is --name with dashes.
+OPTIONS = (
+    ("omega", float, 2.0, True, "cavity frequency"),
+    ("omega0", float, 1.9, True, "atomic transition frequency"),
+    ("omega_c", float, 0.0, True, "classical drive frequency"),
+    ("g", float, 1e-2, True, "atom-cavity coupling"),
+    ("lambda", float, 0.0, True, "drive coupling"),
+    ("kappa", float, 1e-3, True, "cavity decay rate"),
+    ("alpha_re", float, 1.0, True, "Re of initial coherent amplitude"),
+    ("alpha_im", float, 0.0, True, "Im of initial coherent amplitude"),
+    ("c0_re", float, 1.0 / math.sqrt(2.0), False, "Re of dressed |0> amplitude"),
+    ("c0_im", float, 0.0, False, "Im of dressed |0> amplitude"),
+    ("c1_re", float, 1.0 / math.sqrt(2.0), False, "Re of dressed |1> amplitude"),
+    ("c1_im", float, 0.0, False, "Im of dressed |1> amplitude"),
+    ("t_start", float, 0.0, False, "first sample time"),
+    ("t_end", float, 300.0, False, "last sample time"),
+    ("steps", int, 600, False, "number of time samples"),
+    ("nmax", int, None, False, "Fock truncation override"),
+    ("tol", float, 1e-10, False, "integrator tolerance"),
+)
+
+
+def _key(name: str) -> str:
+    """Config key of an option, flag or axis name; `lambda` is stored as `lam`."""
+    name = name.replace("-", "_")
+    return "lam" if name == "lambda" else name
+
+
+_SPEC = {_key(opt[0]): opt for opt in OPTIONS}
+_SWEEPABLE = tuple(key for key, opt in _SPEC.items() if opt[3])
+
+_FIG_BASE = dict(omega=2.0, omega0=1.9, g=1e-2, alpha_re=1.0, alpha_im=0.0)
+
+
+def _drive(x: float, kappa: float) -> dict:
+    return dict(omega_c=x, lam=x, kappa=kappa)
+
+
+#: figure -> (options it fixes, files).  A file is (name, row axes, observable,
+#: {column suffix: option overrides}).  A row axis is (header, low, high),
+#: sampled by --grid for fig1 and by --steps otherwise; `t` is time, any
+#: other name an option, evaluated at t = 1/g.
+FIGURES = {
+    "fig1": (dict(_FIG_BASE, omega_c=0.0), [
+        ("fig1.csv", [("lambda", 0.0, 1.0), ("kappa", 0.0, 5e-3)],
+         "concurrence", {"": {}})]),
+    "fig2": (_FIG_BASE, [
+        ("fig2_upper.csv", [("t", 0.0, 300.0)], "concurrence",
+         {"_k0": _drive(0.0, 0.0), "_k1e-04": _drive(0.0, 1e-4),
+          "_k1e-03": _drive(0.0, 1e-3)}),
+        ("fig2_lower.csv", [("t", 0.0, 300.0)], "concurrence",
+         {"_undriven": _drive(0.0, 1e-3), "_driven": _drive(0.2, 1e-3)})]),
+    "fig3": (_FIG_BASE, [
+        ("fig3.csv", [("t", 0.0, 200.0)], "photon_number",
+         {"_k1e-04": dict(kappa=1e-4), "_k1e-03": dict(kappa=1e-3)})]),
+    "fig4": (_FIG_BASE, [
+        ("fig4.csv", [("t", 0.0, 300.0)], "linear_entropy",
+         {"_undriven": _drive(0.0, 1e-3), "_driven": _drive(0.5, 1e-3)})]),
+}
+_FIG_NOTES = {
+    "fig4.csv": "# note: emits linear entropy; the source figure caption says "
+                "concurrence but the surrounding text describes linear entropy",
 }
 
-_INT_KEYS = {"steps", "nmax"}
 
-
-@dataclass
-class RunConfig:
-    omega: float
-    omega0: float
-    omega_c: float
-    g: float
-    lam: float
-    kappa: float
-    alpha_re: float
-    alpha_im: float
-    c0_re: float
-    c0_im: float
-    c1_re: float
-    c1_im: float
-    t_start: float
-    t_end: float
-    steps: int
-    nmax: int | None
-    tol: float
-
-    def model_params(self) -> model.ModelParams:
-        return model.ModelParams(
-            omega=self.omega, omega0=self.omega0, omega_c=self.omega_c,
-            g=self.g, lam=self.lam, kappa=self.kappa,
-            alpha=complex(self.alpha_re, self.alpha_im),
-            c0=complex(self.c0_re, self.c0_im),
-            c1=complex(self.c1_re, self.c1_im),
-        )
-
-    def effective_nmax(self) -> int:
-        if self.nmax is not None:
-            return self.nmax
-        return liouville.default_nmax(complex(self.alpha_re, self.alpha_im))
+def _number(name: str, kind: type, text: str):
+    """Convert one option value, from a flag or a config file; floats must
+    be finite."""
+    value = kind(text)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {text!r}")
+    return value
 
 
 def _read_config_file(path: str) -> dict:
@@ -92,51 +108,38 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key == "lambda":
-                key = "lam"
-            if key not in _DEFAULTS:
+            key = _key(key.strip())
+            if key not in _SPEC:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            val = val.strip()
-            values[key] = int(val) if key in _INT_KEYS else float(val)
+            values[key] = _number(*_SPEC[key][:2], val.strip())
     return values
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
+def build_config(args: argparse.Namespace) -> dict:
+    """Option key -> value, from flags, then the config file, then defaults."""
     file_values = _read_config_file(args.config) if args.config else {}
-    merged = {}
-    for key, default in _DEFAULTS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-        elif key in file_values:
-            merged[key] = file_values[key]
-        else:
-            merged[key] = default
-    return RunConfig(**merged)
+    cfg = {}
+    for key, (name, kind, default, _, _) in _SPEC.items():
+        flag = getattr(args, key)
+        cfg[key] = (_number(name, kind, flag) if flag is not None
+                    else file_values.get(key, default))
+    return cfg
 
 
-def _add_common_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--omega", type=float, help="cavity frequency")
-    p.add_argument("--omega0", type=float, help="atomic transition frequency")
-    p.add_argument("--omega-c", dest="omega_c", type=float,
-                   help="classical drive frequency")
-    p.add_argument("--g", type=float, help="atom-cavity coupling")
-    p.add_argument("--lambda", dest="lam", type=float, help="drive coupling")
-    p.add_argument("--kappa", type=float, help="cavity decay rate")
-    p.add_argument("--alpha-re", type=float, help="Re of initial coherent amplitude")
-    p.add_argument("--alpha-im", type=float, help="Im of initial coherent amplitude")
-    p.add_argument("--c0-re", type=float, help="Re of dressed |0> amplitude")
-    p.add_argument("--c0-im", type=float, help="Im of dressed |0> amplitude")
-    p.add_argument("--c1-re", type=float, help="Re of dressed |1> amplitude")
-    p.add_argument("--c1-im", type=float, help="Im of dressed |1> amplitude")
-    p.add_argument("--t-start", dest="t_start", type=float, help="first sample time")
-    p.add_argument("--t-end", dest="t_end", type=float, help="last sample time")
-    p.add_argument("--steps", type=int, help="number of time samples")
-    p.add_argument("--nmax", type=int, help="Fock truncation override")
-    p.add_argument("--tol", type=float, help="integrator tolerance")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--output", help="output path (default stdout / cwd for figs)")
+def model_params(cfg: dict, **over) -> model.ModelParams:
+    """ModelParams of cfg with `over` applied; values may be arrays."""
+    v = {**cfg, **over}
+    return model.ModelParams(
+        omega=v["omega"], omega0=v["omega0"], omega_c=v["omega_c"], g=v["g"],
+        lam=v["lam"], kappa=v["kappa"], alpha=v["alpha_re"] + 1j * v["alpha_im"],
+        c0=complex(v["c0_re"], v["c0_im"]), c1=complex(v["c1_re"], v["c1_im"]),
+    )
+
+
+def _nmax(cfg: dict) -> int:
+    if cfg["nmax"] is not None:
+        return cfg["nmax"]
+    return liouville.default_nmax(complex(cfg["alpha_re"], cfg["alpha_im"]))
 
 
 def _fmt(x) -> str:
@@ -147,26 +150,23 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _metadata_lines(cfg: RunConfig, extra: dict | None = None) -> list[str]:
-    items = {
-        "omega": cfg.omega, "omega0": cfg.omega0, "omega_c": cfg.omega_c,
-        "g": cfg.g, "lambda": cfg.lam, "kappa": cfg.kappa,
-        "alpha_re": cfg.alpha_re, "alpha_im": cfg.alpha_im,
-        "c0_re": cfg.c0_re, "c0_im": cfg.c0_im,
-        "c1_re": cfg.c1_re, "c1_im": cfg.c1_im,
-        "t_start": cfg.t_start, "t_end": cfg.t_end, "steps": cfg.steps,
-        "nmax": cfg.effective_nmax(), "tol": cfg.tol,
-    }
-    if extra:
-        items.update(extra)
+def _metadata_lines(cfg: dict, **extra) -> list[str]:
+    items = {opt[0]: cfg[key] for key, opt in _SPEC.items()}
+    items["nmax"] = _nmax(cfg)
+    items.update(extra)
     return [f"# {k} = {_fmt(v)}" for k, v in items.items()]
 
 
+def _require_finite(values, degenerate=False):
+    """`values`, unless a cell outside the degenerate points is inf or NaN."""
+    if np.any(~np.isfinite(values) & ~np.asarray(degenerate)):
+        raise FloatingPointError("evaluation overflowed to non-finite values")
+    return values
+
+
 def _write_csv(output, meta: list[str], header: list[str], rows) -> None:
-    lines = list(meta)
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [*meta, ",".join(header)]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in rows.tolist()]
     text = "\n".join(lines) + "\n"
     if output is None:
         sys.stdout.write(text)
@@ -175,119 +175,54 @@ def _write_csv(output, meta: list[str], header: list[str], rows) -> None:
             fh.write(text)
 
 
-def cmd_params(args) -> int:
-    cfg = build_config(args)
-    p = cfg.model_params()
-    try:
-        d = model.derive_params(p)
-    except model.DegenerateDispersive as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    n_typ = math.ceil(abs(p.alpha) ** 2)
-    ratio = model.dispersive_ratio(d, n_typ)
-    out = sys.stdout
-    print(f"delta1      = {_fmt(d.delta1)}", file=out)
-    print(f"Omega1      = {_fmt(d.Omega1)}", file=out)
-    print(f"theta       = {_fmt(d.theta)}", file=out)
-    print(f"g_prime     = {_fmt(d.g_prime)}", file=out)
-    print(f"omega_prime = {_fmt(d.omega_prime)}", file=out)
-    print(f"delta2      = {_fmt(d.delta2)}", file=out)
-    print(f"Omega_eff   = {_fmt(d.Omega_eff)}", file=out)
-    print(f"dispersive_ratio(n={n_typ}) = {_fmt(ratio)}", file=out)
-    if ratio > model.DISPERSIVE_THRESHOLD:
-        print(
-            f"warning: dispersive ratio {ratio:.3g} exceeds threshold "
-            f"{model.DISPERSIVE_THRESHOLD}; dispersive treatment questionable",
-            file=sys.stderr,
-        )
-    return EXIT_OK
+def _observables(p: model.ModelParams, d: model.DerivedParams, t) -> dict:
+    """The closed-form CSV columns, broadcast over the parameters and t."""
+    s = analytic.evolve(p, d, t)
+    return {
+        "concurrence": analytic.concurrence_analytic(s),
+        "linear_entropy": analytic.linear_entropy_analytic(s),
+        "photon_number": analytic.photon_number(p, t),
+        "abs_f": np.abs(s.f),
+        "abs_tau": np.abs(s.tau),
+    }
 
 
-def _oracle_series(cfg: RunConfig, d: model.DerivedParams, times: np.ndarray,
-                   flip_projector: bool = False):
-    """Numeric concurrence and trace error at the given times."""
-    p = cfg.model_params()
-    fock = liouville.FockConfig(nmax=cfg.effective_nmax())
-    build = (liouville.build_interaction_V_misprinted if flip_projector
-             else liouville.build_interaction_V)
-    V = build(d.Omega_eff, fock)
-    atom = np.array([[abs(p.c0) ** 2, p.c0 * np.conj(p.c1)],
-                     [np.conj(p.c0) * p.c1, abs(p.c1) ** 2]], dtype=complex)
-    field = liouville.coherent_vector(p.alpha, fock)
-    state = liouville.joint_initial_state(atom, field)
-    states = liouville.integrate_sampled(V, state, p.kappa, times, tol=cfg.tol)
-    nfull = np.kron(np.eye(2), liouville.number_op(fock.dim))
-    conc, entr, nbar, trace_err = [], [], [], []
-    for st in states:
-        snap = analytic.evolve(p, d, st.t)
-        rho4 = liouville.project_two_qubit(
-            st.rho, snap.alpha_plus, snap.alpha_minus, fock)
-        conc.append(entanglement.wootters_concurrence(rho4))
-        entr.append(entanglement.linear_entropy_general(rho4))
-        nbar.append(float(np.trace(st.rho @ nfull).real))
-        trace_err.append(abs(np.trace(st.rho).real - 1.0))
-    return np.array(conc), np.array(entr), np.array(nbar), np.array(trace_err)
+def _grid(cfg: dict, axes, counts, observable: str, columns: dict, t_eval):
+    """Header and rows of `observable` on the product grid of `axes`.
 
-
-def cmd_timeseries(args) -> int:
-    cfg = build_config(args)
-    if cfg.steps < 2:
-        print("error: steps must be >= 2", file=sys.stderr)
-        return EXIT_INVALID
-    p = cfg.model_params()
-    try:
-        d = model.derive_params(p)
-    except model.DegenerateDispersive as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    times = np.linspace(cfg.t_start, cfg.t_end, cfg.steps)
-    header = ["t", "concurrence", "linear_entropy", "photon_number",
-              "abs_f", "abs_tau"]
-    columns = []
-    for t in times:
-        s = analytic.evolve(p, d, float(t))
-        columns.append([
-            t,
-            analytic.concurrence_analytic(s),
-            analytic.linear_entropy_analytic(s),
-            analytic.photon_number(p, float(t)),
-            abs(s.f),
-            abs(s.tau),
-        ])
-    if args.oracle:
-        try:
-            conc, _entr, _nbar, terr = _oracle_series(cfg, d, times)
-        except liouville.TruncationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        except (StepSizeUnderflow, liouville.SeriesNotConverged) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        header += ["concurrence_numeric", "trace_error"]
-        for row, c, e in zip(columns, conc, terr):
-            row += [c, e]
-    _write_csv(args.output, _metadata_lines(cfg, {"oracle": int(args.oracle)}),
-               header, columns)
-    return EXIT_OK
-
-
-_SWEEPABLE = ("omega", "omega0", "omega_c", "g", "lam", "kappa",
-              "alpha_re", "alpha_im")
+    Each axis (header, low, high) takes `counts` points along one array
+    dimension, and each column its option overrides along the last one.
+    Degenerate points give NaN cells.
+    """
+    ndim = len(axes) + 1
+    points = [np.linspace(lo, hi, n) for (_, lo, hi), n in zip(axes, counts)]
+    grid = {_key(name): x.reshape([-1 if j == i else 1 for j in range(ndim)])
+            for i, ((name, _, _), x) in enumerate(zip(axes, points))}
+    cols = list(columns.values())
+    grid.update({key: np.reshape([c[key] for c in cols], [1] * len(axes) + [-1])
+                 for key in cols[0]})
+    t = grid.pop("t", t_eval)
+    p = model_params(cfg, **grid)
+    d = model.derive_params(p)
+    shape = [*counts, len(cols)]
+    value = np.broadcast_to(_observables(p, d, t)[observable], shape)
+    _require_finite(value, np.broadcast_to(d.degenerate, shape))
+    coords = [x.ravel() for x in np.meshgrid(*points, indexing="ij")]
+    rows = np.column_stack([*coords, value.reshape(-1, len(cols))])
+    return [name for name, _, _ in axes] + [observable + s for s in columns], rows
 
 
 def _parse_axis(text: str):
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"axis must be name:min:max, got {text!r}")
-    name = parts[0].replace("-", "_")
-    if name == "lambda":
-        name = "lam"
-    if name not in _SWEEPABLE:
-        raise ValueError(f"cannot sweep {name!r}; choose one of {_SWEEPABLE}")
-    lo, hi = float(parts[1]), float(parts[2])
+    key = _key(parts[0])
+    if key not in _SWEEPABLE:
+        raise ValueError(f"cannot sweep {key!r}; choose one of {_SWEEPABLE}")
+    lo, hi = (_number(key, float, x) for x in parts[1:])
     if hi < lo:
         raise ValueError(f"axis bounds out of order in {text!r}")
-    return name, lo, hi
+    return key, lo, hi
 
 
 def _parse_grid(text: str):
@@ -300,155 +235,87 @@ def _parse_grid(text: str):
     return n1, n2
 
 
-def _sweep_concurrence(cfg: RunConfig, axis1, axis2, n1, n2, t_eval):
-    name1, lo1, hi1 = axis1
-    name2, lo2, hi2 = axis2
-    v1s = np.linspace(lo1, hi1, n1) if n1 > 1 else np.array([lo1])
-    v2s = np.linspace(lo2, hi2, n2) if n2 > 1 else np.array([lo2])
-    rows = []
-    base = {k: getattr(cfg, k) for k in _SWEEPABLE}
-    for v1 in v1s:
-        for v2 in v2s:
-            vals = dict(base)
-            vals[name1] = float(v1)
-            vals[name2] = float(v2)
-            p = model.ModelParams(
-                omega=vals["omega"], omega0=vals["omega0"],
-                omega_c=vals["omega_c"], g=vals["g"], lam=vals["lam"],
-                kappa=vals["kappa"],
-                alpha=complex(vals["alpha_re"], vals["alpha_im"]),
-                c0=complex(cfg.c0_re, cfg.c0_im),
-                c1=complex(cfg.c1_re, cfg.c1_im),
-            )
-            try:
-                d = model.derive_params(p)
-                c = analytic.concurrence_analytic(analytic.evolve(p, d, t_eval))
-            except model.DegenerateDispersive:
-                c = float("nan")
-            rows.append([v1, v2, c])
-    return rows
+def cmd_params(args) -> int:
+    cfg = build_config(args)
+    p = model_params(cfg)
+    d = model.derive_params(p)
+    n_typ = math.ceil(abs(p.alpha) ** 2)
+    ratio = model.dispersive_ratio(d, n_typ)
+    report = {name: getattr(d, name) for name in (
+        "delta1", "Omega1", "theta", "g_prime", "omega_prime", "delta2",
+        "Omega_eff")}
+    report[f"dispersive_ratio(n={n_typ})"] = ratio
+    _require_finite(list(report.values()))
+    for name, value in report.items():
+        print(f"{name:<11} = {_fmt(value)}")
+    if ratio > model.DISPERSIVE_THRESHOLD:
+        print(
+            f"warning: dispersive ratio {ratio:.3g} exceeds threshold "
+            f"{model.DISPERSIVE_THRESHOLD}; dispersive treatment questionable",
+            file=sys.stderr,
+        )
+    return EXIT_OK
+
+
+def cmd_timeseries(args) -> int:
+    cfg = build_config(args)
+    if cfg["steps"] < 2:
+        raise ValueError("steps must be >= 2")
+    p = model_params(cfg)
+    d = model.derive_params(p)
+    times = np.linspace(cfg["t_start"], cfg["t_end"], cfg["steps"])
+    columns = {"t": times, **_observables(p, d, times)}
+    if args.oracle:
+        conc, _, _, terr = liouville.oracle_series(p, d, times, _nmax(cfg),
+                                                   cfg["tol"])
+        columns.update(concurrence_numeric=conc, trace_error=terr)
+    rows = _require_finite(np.column_stack(list(columns.values())))
+    _write_csv(args.output, _metadata_lines(cfg, oracle=int(args.oracle)),
+               list(columns), rows)
+    return EXIT_OK
 
 
 def cmd_sweep2d(args) -> int:
     cfg = build_config(args)
-    try:
-        axis1 = _parse_axis(args.axis1)
-        axis2 = _parse_axis(args.axis2)
-        n1, n2 = _parse_grid(args.grid)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    t_eval = args.t_eval if args.t_eval is not None else 1.0 / cfg.g
-    rows = _sweep_concurrence(cfg, axis1, axis2, n1, n2, t_eval)
-    meta = _metadata_lines(cfg, {
-        "axis1": args.axis1, "axis2": args.axis2,
-        "grid": f"{n1}x{n2}", "t_eval": t_eval,
-    })
-    _write_csv(args.output, meta, [axis1[0], axis2[0], "concurrence"], rows)
+    axes = [_parse_axis(args.axis1), _parse_axis(args.axis2)]
+    counts = _parse_grid(args.grid)
+    if args.t_eval is not None:
+        t_eval = _number("t_eval", float, args.t_eval)
+    elif cfg["g"] == 0:
+        raise ValueError("t_eval defaults to 1/g, undefined at g = 0")
+    else:
+        t_eval = 1.0 / cfg["g"]
+    header, rows = _grid(cfg, axes, counts, "concurrence", {"": {}}, t_eval)
+    meta = _metadata_lines(cfg, axis1=args.axis1, axis2=args.axis2,
+                           grid="{}x{}".format(*counts), t_eval=t_eval)
+    _write_csv(args.output, meta, header, rows)
     return EXIT_OK
 
 
-def _fig_cfg(args, **overrides) -> RunConfig:
-    cfg = build_config(args)
-    return RunConfig(**{**cfg.__dict__, **overrides})
-
-
-def _series_columns(cfg: RunConfig, variants: list[dict], value, times):
-    """One column per parameter variant; value(p, d, t) -> float."""
-    cols = []
-    for var in variants:
-        c = RunConfig(**{**cfg.__dict__, **var})
-        p = c.model_params()
-        d = model.derive_params(p)
-        cols.append([value(p, d, float(t)) for t in times])
-    return cols
-
-
-def _conc(p, d, t):
-    return analytic.concurrence_analytic(analytic.evolve(p, d, t))
-
-
-def _entropy(p, d, t):
-    return analytic.linear_entropy_analytic(analytic.evolve(p, d, t))
-
-
-def cmd_fig(n: int, args) -> int:
+def cmd_fig(args) -> int:
     outdir = args.output if args.output else "."
     os.makedirs(outdir, exist_ok=True)
-    if n == 1:
-        cfg = _fig_cfg(args, omega=2.0, omega0=1.9, omega_c=0.0, g=1e-2,
-                       alpha_re=1.0, alpha_im=0.0)
-        n1, n2 = _parse_grid(args.grid)
-        t_eval = 1.0 / cfg.g
-        rows = _sweep_concurrence(cfg, ("lam", 0.0, 1.0),
-                                  ("kappa", 0.0, 5e-3), n1, n2, t_eval)
-        meta = _metadata_lines(cfg, {"grid": f"{n1}x{n2}", "t_eval": t_eval})
-        _write_csv(os.path.join(outdir, "fig1.csv"), meta,
-                   ["lambda", "kappa", "concurrence"], rows)
-        return EXIT_OK
-
-    cfg = _fig_cfg(args, omega=2.0, omega0=1.9, g=1e-2,
-                   alpha_re=1.0, alpha_im=0.0)
-    if n == 2:
-        times = np.linspace(0.0, 3.0 / cfg.g, cfg.steps)
-        upper = _series_columns(
-            cfg,
-            [{"omega_c": 0.0, "lam": 0.0, "kappa": k}
-             for k in (0.0, 1e-4, 1e-3)],
-            _conc, times)
-        _write_csv(os.path.join(outdir, "fig2_upper.csv"),
-                   _metadata_lines(cfg),
-                   ["t", "concurrence_k0", "concurrence_k1e-04",
-                    "concurrence_k1e-03"],
-                   [[t, *vals] for t, *vals in zip(times, *upper)])
-        lower = _series_columns(
-            cfg,
-            [{"omega_c": 0.0, "lam": 0.0, "kappa": 1e-3},
-             {"omega_c": 0.2, "lam": 0.2, "kappa": 1e-3}],
-            _conc, times)
-        _write_csv(os.path.join(outdir, "fig2_lower.csv"),
-                   _metadata_lines(cfg),
-                   ["t", "concurrence_undriven", "concurrence_driven"],
-                   [[t, *vals] for t, *vals in zip(times, *lower)])
-        return EXIT_OK
-    if n == 3:
-        times = np.linspace(0.0, 200.0, cfg.steps)
-        cols = []
-        for k in (1e-4, 1e-3):
-            c = RunConfig(**{**cfg.__dict__, "kappa": k})
-            p = c.model_params()
-            cols.append([analytic.photon_number(p, float(t)) for t in times])
-        _write_csv(os.path.join(outdir, "fig3.csv"), _metadata_lines(cfg),
-                   ["t", "photon_number_k1e-04", "photon_number_k1e-03"],
-                   [[t, *vals] for t, *vals in zip(times, *cols)])
-        return EXIT_OK
-    if n == 4:
-        times = np.linspace(0.0, 3.0 / cfg.g, cfg.steps)
-        cols = _series_columns(
-            cfg,
-            [{"omega_c": 0.0, "lam": 0.0, "kappa": 1e-3},
-             {"omega_c": 0.5, "lam": 0.5, "kappa": 1e-3}],
-            _entropy, times)
-        meta = _metadata_lines(cfg)
-        meta.insert(0, "# note: emits linear entropy; the source figure "
-                       "caption says concurrence but the surrounding text "
-                       "describes linear entropy")
-        _write_csv(os.path.join(outdir, "fig4.csv"), meta,
-                   ["t", "linear_entropy_undriven", "linear_entropy_driven"],
-                   [[t, *vals] for t, *vals in zip(times, *cols)])
-        return EXIT_OK
-    print(f"error: unknown figure {n}", file=sys.stderr)
-    return EXIT_INVALID
+    fixed, files = FIGURES[args.command]
+    cfg = {**build_config(args), **fixed}
+    for name, axes, observable, columns in files:
+        if axes[0][0] == "t":
+            counts, t_eval, extra = [cfg["steps"]], None, {}
+        else:
+            counts, t_eval = _parse_grid(args.grid), 1.0 / cfg["g"]
+            extra = dict(grid="{}x{}".format(*counts), t_eval=t_eval)
+        header, rows = _grid(cfg, axes, counts, observable, columns, t_eval)
+        meta = _metadata_lines(cfg, **extra)
+        if name in _FIG_NOTES:
+            meta.insert(0, _FIG_NOTES[name])
+        _write_csv(os.path.join(outdir, name), meta, header, rows)
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     cfg = build_config(args)
-    p = cfg.model_params()
-    try:
-        d = model.derive_params(p)
-    except model.DegenerateDispersive as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    p = model_params(cfg)
+    d = model.derive_params(p)
+    _require_finite(d.Omega_eff)
     ok = True
 
     # stage 1: superoperator disentangling at a small, dense-friendly nmax
@@ -469,23 +336,20 @@ def cmd_verify(args) -> int:
               f"dyad_err={dy:.3e}")
 
     # stage 2: closed forms against the Lindblad integrator
-    times = np.linspace(cfg.t_start, cfg.t_end, 16)
+    times = np.linspace(cfg["t_start"], cfg["t_end"], 16)
     try:
-        conc_n, entr_n, nbar_n, terr = _oracle_series(
-            cfg, d, times, flip_projector=args.flip_projector)
+        conc, entr, nbar, terr = liouville.oracle_series(
+            p, d, times, _nmax(cfg), cfg["tol"])
     except (StepSizeUnderflow, liouville.SeriesNotConverged,
             liouville.TruncationError,
             entanglement.InvalidDensityMatrix) as exc:
         print(f"FAIL oracle integration: {exc}")
         return EXIT_VERIFY_FAIL
-    snaps = [analytic.evolve(p, d, float(t)) for t in times]
-    conc_a = np.array([analytic.concurrence_analytic(s) for s in snaps])
-    entr_a = np.array([analytic.linear_entropy_analytic(s) for s in snaps])
-    nbar_a = np.array([analytic.photon_number(p, float(t)) for t in times])
+    closed = _observables(p, d, times)
     checks = [
-        ("concurrence", np.max(np.abs(conc_a - conc_n)), 1e-6),
-        ("linear_entropy", np.max(np.abs(entr_a - entr_n)), 1e-6),
-        ("photon_number", np.max(np.abs(nbar_a - nbar_n)), 1e-6),
+        ("concurrence", np.max(np.abs(closed["concurrence"] - conc)), 1e-6),
+        ("linear_entropy", np.max(np.abs(closed["linear_entropy"] - entr)), 1e-6),
+        ("photon_number", np.max(np.abs(closed["photon_number"] - nbar)), 1e-6),
         ("trace_error", np.max(terr), 1e-8),
     ]
     for name, dev, tol in checks:
@@ -496,6 +360,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
+COMMANDS = {
+    "params": (cmd_params, "report derived parameters"),
+    "timeseries": (cmd_timeseries, "time series of observables"),
+    "sweep2d": (cmd_sweep2d, "2-D parameter sweep of concurrence"),
+    **{name: (cmd_fig, f"emit figure-{name[3:]} CSV data") for name in FIGURES},
+    "verify": (cmd_verify, "run the numerical cross-checks"),
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drivenjc",
@@ -503,55 +376,38 @@ def make_parser() -> argparse.ArgumentParser:
                     "driven atom in a lossy cavity; all outputs are CSV.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_params = sub.add_parser("params", help="report derived parameters")
-    _add_common_options(p_params)
-
-    p_ts = sub.add_parser("timeseries", help="time series of observables")
-    _add_common_options(p_ts)
-    p_ts.add_argument("--oracle", action="store_true",
-                      help="add Lindblad-integrated columns")
-
-    p_sw = sub.add_parser("sweep2d", help="2-D parameter sweep of concurrence")
-    _add_common_options(p_sw)
-    p_sw.add_argument("--axis1", required=True, help="name:min:max")
-    p_sw.add_argument("--axis2", required=True, help="name:min:max")
-    p_sw.add_argument("--grid", default="101x101", help="<n1>x<n2>")
-    p_sw.add_argument("--t-eval", dest="t_eval", type=float,
-                      help="evaluation time (default 1/g)")
-
-    for n in (1, 2, 3, 4):
-        p_fig = sub.add_parser(f"fig{n}", help=f"emit figure-{n} CSV data")
-        _add_common_options(p_fig)
-        if n == 1:
-            p_fig.add_argument("--grid", default="101x101", help="<n1>x<n2>")
-
-    p_ver = sub.add_parser("verify", help="run the numerical cross-checks")
-    _add_common_options(p_ver)
-    p_ver.add_argument("--flip-projector", action="store_true",
-                       help=argparse.SUPPRESS)
+    parsers = {}
+    for command, (_, text) in COMMANDS.items():
+        p = parsers[command] = sub.add_parser(command, help=text)
+        for name, _, _, _, helptext in OPTIONS:
+            p.add_argument("--" + name.replace("_", "-"), dest=_key(name),
+                           help=helptext)
+        p.add_argument("--config", help="key=value config file")
+        p.add_argument("--output",
+                       help="output path (default stdout / cwd for figs)")
+    parsers["timeseries"].add_argument("--oracle", action="store_true",
+                                       help="add Lindblad-integrated columns")
+    parsers["sweep2d"].add_argument("--axis1", required=True, help="name:min:max")
+    parsers["sweep2d"].add_argument("--axis2", required=True, help="name:min:max")
+    parsers["sweep2d"].add_argument("--t-eval", dest="t_eval",
+                                    help="evaluation time (default 1/g)")
+    for command in ("sweep2d", "fig1"):
+        parsers[command].add_argument("--grid", default="101x101", help="<n1>x<n2>")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        if args.command == "params":
-            return cmd_params(args)
-        if args.command == "timeseries":
-            return cmd_timeseries(args)
-        if args.command == "sweep2d":
-            return cmd_sweep2d(args)
-        if args.command.startswith("fig"):
-            return cmd_fig(int(args.command[3:]), args)
-        if args.command == "verify":
-            return cmd_verify(args)
+        with np.errstate(all="ignore"):
+            return COMMANDS[args.command][0](args)
+    except (ArithmeticError, StepSizeUnderflow,
+            liouville.SeriesNotConverged) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_INVALID
 
 
 def entrypoint() -> None:

@@ -16,7 +16,9 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammaln
 
+from . import analytic, entanglement
 from .integrator import rk45
+from .model import DerivedParams, ModelParams
 
 DENSE_GUARD = 64
 SERIES_TOL = 1e-12
@@ -138,22 +140,10 @@ def build_interaction_V(Omega_eff: float, cfg: FockConfig) -> np.ndarray:
     """Dispersive interaction-picture Hamiltonian, diagonal in the joint basis.
 
     Entries Omega*(n+1) on the dressed-|0> rows and -Omega*n on the
-    dressed-|1> rows.  An optional sign flip of the first projector (the
-    form the verifier is meant to reject) is provided via build_interaction_V_misprinted.
+    dressed-|1> rows.
     """
     n = np.arange(float(cfg.dim))
     diag = np.concatenate([Omega_eff * (n + 1.0), -Omega_eff * n])
-    return np.diag(diag).astype(complex)
-
-
-def build_interaction_V_misprinted(Omega_eff: float, cfg: FockConfig) -> np.ndarray:
-    """Deliberately wrong variant with both projectors on the |1> branch.
-
-    Used only to confirm that the oracle checks are sensitive to the sign
-    structure of the dispersive interaction.
-    """
-    n = np.arange(float(cfg.dim))
-    diag = np.concatenate([np.zeros(cfg.dim), Omega_eff * (n + 1.0) - Omega_eff * n])
     return np.diag(diag).astype(complex)
 
 
@@ -177,17 +167,6 @@ def excitation_number(cfg: FockConfig) -> np.ndarray:
     N = cfg.dim
     return (np.kron(np.eye(2), number_op(N))
             + np.kron(np.diag([1.0, 0.0]), np.eye(N)))
-
-
-def lindblad_rhs(H: np.ndarray, rho: np.ndarray, kappa: float) -> np.ndarray:
-    """Right-hand side -i[H, rho] + kappa (2 a rho adag - n rho - rho n)."""
-    N = H.shape[0] // 2
-    a = np.kron(np.eye(2), annihilation(N))
-    nh = a.conj().T @ a
-    out = -1j * (H @ rho - rho @ H)
-    if kappa != 0.0:
-        out = out + kappa * (2.0 * a @ rho @ a.conj().T - nh @ rho - rho @ nh)
-    return out
 
 
 def joint_initial_state(atom_rho: np.ndarray, field_vec: np.ndarray) -> JointState:
@@ -244,6 +223,35 @@ def integrate_sampled(H: np.ndarray, rho0: JointState, kappa: float,
         state = integrate(H, state, kappa, float(t), tol)
         out.append(state)
     return out
+
+
+def oracle_series(p: ModelParams, d: DerivedParams, times: np.ndarray,
+                  nmax: int, tol: float = 1e-10):
+    """Lindblad-integrated observables of the model at the given times.
+
+    Integrates the master equation from the product of the atomic state
+    (c0, c1) and the coherent field |alpha> in a Fock space truncated at
+    nmax, and projects each sampled state onto the two-branch basis of the
+    closed-form amplitudes alpha_pm(t).  `p` and `d` are a single point of
+    ModelParams and DerivedParams.  Returns arrays of concurrence, linear
+    entropy, photon number and trace error.
+    """
+    fock = FockConfig(nmax=nmax)
+    V = build_interaction_V(d.Omega_eff, fock)
+    atom = np.array([[abs(p.c0) ** 2, p.c0 * np.conj(p.c1)],
+                     [np.conj(p.c0) * p.c1, abs(p.c1) ** 2]], dtype=complex)
+    state = joint_initial_state(atom, coherent_vector(p.alpha, fock))
+    states = integrate_sampled(V, state, p.kappa, times, tol=tol)
+    snap = analytic.evolve(p, d, np.asarray(times, dtype=float))
+    nfull = np.kron(np.eye(2), number_op(fock.dim))
+    conc, entr, nbar, trace_err = [], [], [], []
+    for st, a_plus, a_minus in zip(states, snap.alpha_plus, snap.alpha_minus):
+        rho4 = project_two_qubit(st.rho, a_plus, a_minus, fock)
+        conc.append(entanglement.wootters_concurrence(rho4))
+        entr.append(entanglement.linear_entropy_general(rho4))
+        nbar.append(float(np.trace(st.rho @ nfull).real))
+        trace_err.append(abs(np.trace(st.rho).real - 1.0))
+    return np.array(conc), np.array(entr), np.array(nbar), np.array(trace_err)
 
 
 def block(rho: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -430,17 +438,9 @@ def verify_disentangling(Omega: float, kappa: float, t: float, cfg: FockConfig,
     dyad_cfg = FockConfig(nmax=max(cfg.nmax, default_nmax(alpha)), trunc_tol=1e-6)
     v0 = coherent_vector(alpha, dyad_cfg)
     dyad = 0.5 * np.outer(v0, v0.conj())
-    a_plus = alpha * cmath.exp(-(kappa + 1j * Omega) * t)
-    a_minus = alpha * cmath.exp(-(kappa - 1j * Omega) * t)
+    a_plus, a_minus, f = analytic.branches(alpha, kappa, Omega, t)
     vp = coherent_vector(a_plus, dyad_cfg)
     vm = coherent_vector(a_minus, dyad_cfg)
-    n0 = abs(alpha) ** 2
-    if kappa == 0.0:
-        f = cmath.exp(-1j * Omega * t)
-    else:
-        f = cmath.exp(-1j * Omega * t + n0 * (cmath.exp(-2.0 * kappa * t) - 1.0))
-        f *= cmath.exp(kappa * n0 / (kappa + 1j * Omega)
-                       * (1.0 - cmath.exp(-2.0 * (kappa + 1j * Omega) * t)))
     targets = {
         "L00": 0.5 * np.outer(vp, vp.conj()),
         "L11": 0.5 * np.outer(vm, vm.conj()),

@@ -32,6 +32,7 @@ class ModelParams:
 
     c0, c1 are the initial atomic amplitudes in the dressed basis; they
     default to the balanced superposition used throughout the figures.
+    Any field may be a numpy array; all fields broadcast together.
     """
 
     omega: float            # cavity frequency
@@ -45,22 +46,22 @@ class ModelParams:
     c1: complex = _INV_SQRT2
 
     def __post_init__(self):
-        if self.g < 0:
-            raise ValueError(f"coupling g must be >= 0, got {self.g}")
-        if self.kappa < 0:
-            raise ValueError(f"decay rate kappa must be >= 0, got {self.kappa}")
-        if self.lam < 0:
-            raise ValueError(f"drive coupling lam must be >= 0, got {self.lam}")
-        norm = abs(self.c0) ** 2 + abs(self.c1) ** 2
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(
-                f"|c0|^2 + |c1|^2 must be 1, got {norm!r}"
-            )
+        for name in self.__dataclass_fields__:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name, what in (("g", "coupling"), ("kappa", "decay rate"),
+                           ("lam", "drive coupling")):
+            value = getattr(self, name)
+            if np.any(value < 0):
+                raise ValueError(f"{what} {name} must be >= 0, got {np.min(value)}")
+        norm = np.abs(self.c0) ** 2 + np.abs(self.c1) ** 2
+        if np.any(np.abs(norm - 1.0) > 1e-12):
+            raise ValueError(f"|c0|^2 + |c1|^2 must be 1, got {norm!r}")
 
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """Frame-derived quantities of the model."""
+    """Frame-derived quantities of the model, shaped like the inputs."""
 
     delta1: float           # omega0 - omega_c
     Omega1: float           # dressed splitting sqrt(delta1^2 + 4 lam^2)
@@ -68,7 +69,8 @@ class DerivedParams:
     g_prime: float          # reduced coupling g cos^2(theta/2)
     omega_prime: float      # Omega1 + omega_c
     delta2: float           # omega_prime - omega
-    Omega_eff: float        # dispersive shift g_prime^2 / delta2
+    Omega_eff: float        # dispersive shift g_prime^2 / delta2; NaN if degenerate
+    degenerate: bool        # |delta2| < eps_div: the dispersive shift diverges
 
 
 def derive_params(p: ModelParams, eps_div: float = EPS_DIV) -> DerivedParams:
@@ -77,20 +79,25 @@ def derive_params(p: ModelParams, eps_div: float = EPS_DIV) -> DerivedParams:
     The mixing angle is computed as atan2(2 lam, delta1) so the resonant
     drive case delta1 = 0 gives theta = pi/2 instead of a singularity.
 
-    Raises DegenerateDispersive when |delta2| < eps_div.
+    A point is degenerate when |delta2| < eps_div.  For a single point
+    (every input a scalar) that raises DegenerateDispersive; when any input
+    is an array, degenerate points get Omega_eff = NaN and are flagged in
+    `degenerate`.
     """
     delta1 = p.omega0 - p.omega_c
-    Omega1 = math.hypot(delta1, 2.0 * p.lam)
-    theta = math.atan2(2.0 * p.lam, delta1)
-    g_prime = p.g * math.cos(theta / 2.0) ** 2
+    Omega1 = np.hypot(delta1, 2.0 * p.lam)
+    theta = np.arctan2(2.0 * p.lam, delta1)
+    g_prime = p.g * np.cos(theta / 2.0) ** 2
     omega_prime = Omega1 + p.omega_c
     delta2 = omega_prime - p.omega
-    if abs(delta2) < eps_div:
+    degenerate = np.abs(delta2) < eps_div
+    if all(np.ndim(v) == 0 for v in vars(p).values()) and degenerate:
         raise DegenerateDispersive(
             f"|delta2| = {abs(delta2):.3e} < {eps_div:.3e}: "
             "dispersive shift g'^2/delta2 diverges"
         )
-    Omega_eff = g_prime**2 / delta2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Omega_eff = np.where(degenerate, np.nan, g_prime**2 / delta2)[()]
     return DerivedParams(
         delta1=delta1,
         Omega1=Omega1,
@@ -99,6 +106,7 @@ def derive_params(p: ModelParams, eps_div: float = EPS_DIV) -> DerivedParams:
         omega_prime=omega_prime,
         delta2=delta2,
         Omega_eff=Omega_eff,
+        degenerate=degenerate,
     )
 
 
@@ -120,8 +128,8 @@ def dispersive_ratio(d: DerivedParams, n: int) -> float:
     The dispersive treatment is trustworthy when this is small; compare
     against DISPERSIVE_THRESHOLD.
     """
-    if n < 0:
+    if np.any(np.less(n, 0)):
         raise ValueError(f"photon number must be >= 0, got {n}")
-    if d.delta2 == 0:
+    if np.any(np.equal(d.delta2, 0)):
         raise DegenerateDispersive("delta2 = 0: dispersive ratio undefined")
-    return math.sqrt(n + 1.0) * d.g_prime / abs(d.delta2)
+    return np.sqrt(n + 1.0) * d.g_prime / np.abs(d.delta2)

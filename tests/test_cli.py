@@ -1,7 +1,12 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from drivenjc.cli import main
+from drivenjc import liouville
+from drivenjc.cli import OPTIONS, main
 
 
 def parse_report(text):
@@ -119,6 +124,62 @@ class TestConfigPrecedence:
         cfgfile.write_text("nonsense = 3\n")
         assert main(["params", "--config", str(cfgfile)]) == 2
 
+    def test_nonfinite_value_exits_2(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("kappa = nan\n")
+        assert main(["timeseries", "--config", str(cfgfile)]) == 2
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("argv, code", [
+        (["params", "--g", "nan"], 2),
+        (["timeseries", "--kappa", "nan"], 2),
+        (["timeseries", "--c0-re", "nan"], 2),
+        (["timeseries", "--alpha-re", "inf"], 2),
+        (["timeseries", "--oracle", "--tol", "nan"], 2),
+        (["sweep2d", "--g", "0", "--axis1", "lambda:0:1",
+          "--axis2", "kappa:0:1e-3"], 2),
+        (["sweep2d", "--axis1", "lambda:0:nan", "--axis2", "kappa:0:1e-3"], 2),
+        # finite inputs whose evaluation overflows
+        (["timeseries", "--alpha-re", "1e200"], 3),
+        (["params", "--g", "1e300"], 3),
+        (["timeseries", "--g", "1e300"], 3),
+        (["sweep2d", "--axis1", "g:0:1e300", "--axis2", "kappa:0:1e-3",
+          "--grid", "3x2"], 3),
+    ])
+    def test_exit_code_without_output(self, argv, code, capsys):
+        assert main(argv) == code
+        assert capsys.readouterr().out == ""
+
+
+_FLOATS = [name for name, kind, *_ in OPTIONS if kind is float]
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["params", "timeseries"]),
+       steps=st.integers(2, 20),
+       values=st.fixed_dictionaries({}, optional={
+           name: st.sampled_from(["0", "1e300", "-1e300", "inf", "-inf", "nan"])
+           for name in _FLOATS}))
+def test_any_float_input_gives_finite_output_or_exit_code(command, steps, values):
+    argv = [command, "--steps", str(steps)]
+    # --name=value, since argparse reads "-1e300" after a flag as a flag
+    argv += [f"--{name.replace('_', '-')}={text}" for name, text in values.items()]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code != 0:
+        return
+    lines = [ln for ln in out.getvalue().splitlines() if not ln.startswith("#")]
+    if command == "params":
+        cells = [ln.rpartition("=")[2] for ln in lines]
+    else:
+        cells = [c for ln in lines[1:] for c in ln.split(",")]
+        assert len(lines) == steps + 1
+    assert cells and np.all(np.isfinite(np.array(cells, dtype=float)))
+
 
 class TestSweep2d:
     def test_single_point(self, tmp_path):
@@ -203,8 +264,17 @@ class TestVerify:
         assert "FAIL" not in out
         assert out.count("PASS") >= 7
 
-    def test_misprinted_projector_detected(self, capsys):
-        rc = main(["verify", "--t-end", "120", "--flip-projector"])
+    def test_misprinted_projector_detected(self, capsys, monkeypatch):
+        def misprinted(Omega_eff, cfg):
+            # both projectors on the |1> branch, a sign structure the
+            # oracle checks must reject
+            n = np.arange(float(cfg.dim))
+            diag = np.concatenate([np.zeros(cfg.dim), Omega_eff * (n + 1.0)
+                                   - Omega_eff * n])
+            return np.diag(diag).astype(complex)
+
+        monkeypatch.setattr(liouville, "build_interaction_V", misprinted)
+        rc = main(["verify", "--t-end", "120"])
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL" in out

@@ -13,9 +13,12 @@ Regenerate (only when an output change is intended) with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
 import math
 import re
-import sys
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -53,13 +56,16 @@ _NOISE = re.compile(r"(pairwise_dev|dyad_err|max_dev)=\S+")
 _TOKENS = re.compile(r"([\s,=()]+)")
 
 
-def run_case(name, outdir: Path, capsys) -> dict:
+def run_case(name, outdir: Path) -> dict:
     """{file name: text} of one case: exit_code, stdout, written files."""
     argv = list(CASES[name])
     if argv[0].startswith("fig"):
         argv += ["--output", str(outdir)]
-    code = main(argv)
-    stdout = capsys.readouterr().out if capsys else sys.stdout.getvalue()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    stdout = out.getvalue()
     if argv[0] == "verify":
         stdout = _NOISE.sub(r"\1=*", stdout)
     files = {"exit_code": f"{code}\n", "stdout": stdout}
@@ -91,29 +97,21 @@ def assert_same_text(want: str, got: str, label: str) -> None:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_case(name, tmp_path, capsys):
+def test_golden_case(name, tmp_path):
     want_dir = GOLDEN / name
-    got = run_case(name, tmp_path, capsys)
+    got = run_case(name, tmp_path)
     assert sorted(got) == sorted(p.name for p in want_dir.iterdir())
     for fname, text in got.items():
         assert_same_text((want_dir / fname).read_text(), text, f"{name}/{fname}")
 
 
 def regenerate() -> None:
-    import contextlib
-    import io
-    import shutil
-    import tempfile
-
     for name in CASES:
         target = GOLDEN / name
         shutil.rmtree(target, ignore_errors=True)
         target.mkdir(parents=True)
-        out = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp, \
-                contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(io.StringIO()):
-            files = run_case(name, Path(tmp), None)
+        with tempfile.TemporaryDirectory() as tmp:
+            files = run_case(name, Path(tmp))
         for fname, text in files.items():
             (target / fname).write_text(text)
 
