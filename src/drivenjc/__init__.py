@@ -24,7 +24,6 @@ from .entanglement import (
 )
 from .liouville import (
     FockConfig,
-    JointState,
     SuperopSpec,
     TruncationError,
     coherent_vector,

@@ -4,6 +4,10 @@ Everything the closed-form path claims is re-derived here by independent
 means: the master equation is integrated directly in a truncated Fock
 space, and the disentangled superoperator exponentials are checked
 against dense matrix exponentials of the vectorized generators.
+
+The dressed atom never flips in the dispersive model, so the joint state
+is held as its four field blocks rho[a, b] = <a| rho |b>, an array of
+shape (2, 2, N, N), and each block evolves on its own.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from .integrator import rk45
 from .model import DerivedParams, ModelParams
 
 DENSE_GUARD = 64
+#: Largest accepted Fock truncation; one oracle state at nmax = 500 is 16 MB.
+NMAX_LIMIT = 500
 SERIES_TOL = 1e-12
 
 
@@ -48,23 +54,14 @@ class FockConfig:
     def __post_init__(self):
         if self.nmax < 1:
             raise ValueError(f"nmax must be >= 1, got {self.nmax}")
+        if self.nmax > NMAX_LIMIT:
+            raise ValueError(f"nmax must be <= {NMAX_LIMIT}, got {self.nmax}")
         if self.trunc_tol <= 0:
             raise ValueError(f"trunc_tol must be > 0, got {self.trunc_tol}")
 
     @property
     def dim(self) -> int:
         return self.nmax + 1
-
-
-@dataclass
-class JointState:
-    """Density matrix over (dressed atom) x (truncated Fock space).
-
-    Basis index = atom * N + n with atom in {0, 1} and n the Fock level.
-    """
-
-    rho: np.ndarray
-    t: float
 
 
 @dataclass(frozen=True)
@@ -136,93 +133,60 @@ def coherent_vector(alpha: complex, cfg: FockConfig) -> np.ndarray:
     return vec
 
 
-def build_interaction_V(Omega_eff: float, cfg: FockConfig) -> np.ndarray:
-    """Dispersive interaction-picture Hamiltonian, diagonal in the joint basis.
+def _lower(X: np.ndarray) -> np.ndarray:
+    """a X adag on the last two axes: X shifted up one Fock level in both
+    indices, times sqrt(n+1) sqrt(m+1); the top row and column are zero."""
+    root = np.sqrt(np.arange(1.0, X.shape[-1]))
+    out = np.zeros_like(X)
+    out[..., :-1, :-1] = X[..., 1:, 1:] * (root[:, None] * root)
+    return out
 
-    Entries Omega*(n+1) on the dressed-|0> rows and -Omega*n on the
-    dressed-|1> rows.
+
+def build_interaction_V(Omega_eff: float, cfg: FockConfig) -> np.ndarray:
+    """Diagonal of the dispersive interaction-picture Hamiltonian, shape (2, N).
+
+    Row 0 (dressed |0>) holds Omega*(n+1), row 1 (dressed |1>) -Omega*n.
     """
     n = np.arange(float(cfg.dim))
-    diag = np.concatenate([Omega_eff * (n + 1.0), -Omega_eff * n])
-    return np.diag(diag).astype(complex)
+    return np.array([Omega_eff * (n + 1.0), -Omega_eff * n])
 
 
-def build_H2(omega: float, omega_prime: float, g_prime: float,
-             cfg: FockConfig) -> np.ndarray:
-    """Rotating-frame Jaynes-Cummings Hamiltonian on the joint space."""
-    N = cfg.dim
-    a = annihilation(N)
-    nh = number_op(N)
-    I2 = np.eye(2)
-    sz = np.diag([1.0, -1.0])
-    sp = np.array([[0.0, 1.0], [0.0, 0.0]])   # |0><1| in dressed ordering
-    H = (np.kron(I2, omega * nh)
-         + np.kron(0.5 * omega_prime * sz, np.eye(N))
-         + g_prime * (np.kron(sp, a) + np.kron(sp.T, a.conj().T)))
-    return H.astype(complex)
+def initial_blocks(c0: complex, c1: complex, field_vec: np.ndarray) -> np.ndarray:
+    """Field blocks rho[a, b] = c_a conj(c_b) |v><v| of (c0|0> + c1|1>) x |v>."""
+    c = np.array([c0, c1], dtype=complex)
+    return np.multiply.outer(np.outer(c, c.conj()),
+                             np.outer(field_vec, np.conj(field_vec)))
 
 
-def excitation_number(cfg: FockConfig) -> np.ndarray:
-    """Conserved quantity adag a + |0><0| of the rotating-frame Hamiltonian."""
-    N = cfg.dim
-    return (np.kron(np.eye(2), number_op(N))
-            + np.kron(np.diag([1.0, 0.0]), np.eye(N)))
+def _make_rhs(v: np.ndarray, kappa: float):
+    """Lindblad RHS on field blocks for the (2, N) Hamiltonian diagonal v:
+    d rho_ab/dt = -i(v_a(n) - v_b(m)) rho_ab - kappa(n + m) rho_ab
+    + 2 kappa a rho_ab adag."""
+    n = np.arange(float(v.shape[1]))
+    diag = (-1j * (v[:, None, :, None] - v[None, :, None, :])
+            - kappa * (n[:, None] + n))
+    return lambda _t, rho: diag * rho + (2.0 * kappa) * _lower(rho)
 
 
-def joint_initial_state(atom_rho: np.ndarray, field_vec: np.ndarray) -> JointState:
-    """Product state (2x2 atom density) x (pure field vector)."""
-    field_rho = np.outer(field_vec, field_vec.conj())
-    return JointState(rho=np.kron(np.asarray(atom_rho, dtype=complex), field_rho),
-                      t=0.0)
+def integrate(v: np.ndarray, rho0: np.ndarray, kappa: float, times,
+              tol: float = 1e-10):
+    """Yield the field blocks at each of `times`, starting from rho0 at t = 0.
 
-
-def _make_rhs(H: np.ndarray, kappa: float):
-    dim = H.shape[0]
-    N = dim // 2
-    a = np.kron(np.eye(2), annihilation(N))
-    adag = a.conj().T
-    nh = adag @ a
-
-    def f(t, y):
-        rho = y.reshape(dim, dim)
-        out = -1j * (H @ rho - rho @ H)
-        if kappa != 0.0:
-            out = out + kappa * (2.0 * a @ rho @ adag - nh @ rho - rho @ nh)
-        return out.ravel()
-
-    return f
-
-
-def _initial_step(H: np.ndarray, kappa: float) -> float:
-    rate = 2.0 * kappa + float(np.max(np.abs(H))) + 1e-30
-    return 1.0 / (100.0 * rate)
-
-
-def integrate(H: np.ndarray, rho0: JointState, kappa: float, t_end: float,
-              tol: float = 1e-10) -> JointState:
-    """Integrate the master equation from rho0.t to t_end."""
-    if t_end < rho0.t:
-        raise ValueError("t_end must be >= rho0.t")
-    if t_end == rho0.t:
-        return JointState(rho=rho0.rho.copy(), t=rho0.t)
-    f = _make_rhs(H, kappa)
-    y = rk45(f, rho0.rho.ravel(), rho0.t, t_end, tol,
-             h0=_initial_step(H, kappa))
-    return JointState(rho=y.reshape(rho0.rho.shape), t=t_end)
-
-
-def integrate_sampled(H: np.ndarray, rho0: JointState, kappa: float,
-                      times: np.ndarray, tol: float = 1e-10) -> list[JointState]:
-    """States at each requested time (non-decreasing, >= rho0.t)."""
+    `v` is the (2, N) diagonal of build_interaction_V; `times` must be
+    non-decreasing and >= 0.  Each sample restarts rk45 from the previous
+    one with the same initial step.
+    """
     times = np.asarray(times, dtype=float)
-    if times.size and (np.any(np.diff(times) < 0) or times[0] < rho0.t):
-        raise ValueError("times must be non-decreasing and start at >= rho0.t")
-    out = []
-    state = rho0
+    if times.size and (np.any(np.diff(times) < 0) or times[0] < 0):
+        raise ValueError("times must be non-decreasing and >= 0")
+    rhs = _make_rhs(v, kappa)
+    h0 = 1.0 / (100.0 * (2.0 * kappa + float(np.max(np.abs(v))) + 1e-30))
+    rho, t0 = rho0, 0.0
     for t in times:
-        state = integrate(H, state, kappa, float(t), tol)
-        out.append(state)
-    return out
+        if t > t0:
+            rho = rk45(rhs, rho, t0, float(t), tol, h0=h0)
+        t0 = t
+        yield rho
 
 
 def oracle_series(p: ModelParams, d: DerivedParams, times: np.ndarray,
@@ -237,34 +201,26 @@ def oracle_series(p: ModelParams, d: DerivedParams, times: np.ndarray,
     entropy, photon number and trace error.
     """
     fock = FockConfig(nmax=nmax)
-    V = build_interaction_V(d.Omega_eff, fock)
-    atom = np.array([[abs(p.c0) ** 2, p.c0 * np.conj(p.c1)],
-                     [np.conj(p.c0) * p.c1, abs(p.c1) ** 2]], dtype=complex)
-    state = joint_initial_state(atom, coherent_vector(p.alpha, fock))
-    states = integrate_sampled(V, state, p.kappa, times, tol=tol)
-    snap = analytic.evolve(p, d, np.asarray(times, dtype=float))
-    nfull = np.kron(np.eye(2), number_op(fock.dim))
+    times = np.asarray(times, dtype=float)
+    rho0 = initial_blocks(p.c0, p.c1, coherent_vector(p.alpha, fock))
+    states = integrate(build_interaction_V(d.Omega_eff, fock), rho0, p.kappa,
+                       times, tol)
+    snap = analytic.evolve(p, d, times)
+    n = np.arange(float(fock.dim))
     conc, entr, nbar, trace_err = [], [], [], []
-    for st, a_plus, a_minus in zip(states, snap.alpha_plus, snap.alpha_minus):
-        rho4 = project_two_qubit(st.rho, a_plus, a_minus, fock)
+    for rho, a_plus, a_minus in zip(states, snap.alpha_plus, snap.alpha_minus):
+        rho4 = project_two_qubit(rho, a_plus, a_minus, fock)
         conc.append(entanglement.wootters_concurrence(rho4))
         entr.append(entanglement.linear_entropy_general(rho4))
-        nbar.append(float(np.trace(st.rho @ nfull).real))
-        trace_err.append(abs(np.trace(st.rho).real - 1.0))
+        pops = np.einsum("aann->an", rho).real
+        nbar.append(float(np.sum(pops @ n)))
+        trace_err.append(abs(float(np.sum(pops)) - 1.0))
     return np.array(conc), np.array(entr), np.array(nbar), np.array(trace_err)
-
-
-def block(rho: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Field block <i| rho |j> of a joint density matrix, i, j in {0, 1}."""
-    if i not in (0, 1) or j not in (0, 1):
-        raise ValueError(f"atom indices must be 0 or 1, got ({i}, {j})")
-    N = rho.shape[0] // 2
-    return rho[i * N:(i + 1) * N, j * N:(j + 1) * N]
 
 
 def project_two_qubit(rho: np.ndarray, alpha_plus: complex, alpha_minus: complex,
                       cfg: FockConfig) -> np.ndarray:
-    """Project a joint density matrix onto the two-branch field basis.
+    """Project the field blocks rho[a, b] onto the two-branch field basis.
 
     The basis is |up> = |alpha_plus> and the Gram-Schmidt complement of
     |alpha_minus>; output index convention matches the closed-form
@@ -281,15 +237,8 @@ def project_two_qubit(rho: np.ndarray, alpha_plus: complex, alpha_minus: complex
         down = np.zeros_like(up)
     else:
         down = resid / rnorm
-    basis = [up, down]
-    out = np.zeros((4, 4), dtype=complex)
-    for F in range(2):
-        for A in range(2):
-            for G in range(2):
-                for B in range(2):
-                    blk = block(rho, A, B)
-                    out[2 * F + A, 2 * G + B] = basis[F].conj() @ blk @ basis[G]
-    return out
+    basis = np.array([up, down])
+    return np.einsum("fn,abnm,gm->fagb", basis.conj(), rho, basis).reshape(4, 4)
 
 
 def _phi(z: complex) -> complex:
@@ -312,24 +261,24 @@ def m_coefficient(spec: SuperopSpec, t: float) -> complex:
 def apply_factorized(spec: SuperopSpec, X: np.ndarray, t: float) -> np.ndarray:
     """Apply exp(spec * t) to X via the ordered product of exponentials.
 
-    exp(c_s t) exp(m M) exp(c_r t R) exp(c_l t L): the R and L factors are
-    diagonal scalings, the M factor a convergent operator series.
+    exp(c_s t) exp(c_r t R) exp(c_l t L) exp(m' M): the M factor is a
+    convergent operator series, the R and L factors diagonal scalings.
+    Moving exp(m M) of m_coefficient to the right through the scalings
+    gives m' = m exp((c_r + c_l) t) = c_m t phi((c_r + c_l) t), which stays
+    bounded under decay; m itself grows as exp(2 kappa t) and its series
+    would cancel against the exp(-kappa t n) scalings.
     """
     X = np.asarray(X, dtype=complex)
     N = X.shape[0]
     n = np.arange(float(N))
-    m = m_coefficient(spec, t)
-    left = np.exp(spec.c_r * t * n)
-    right = np.exp(spec.c_l * t * n)
-    Y = (left[:, None] * X) * right[None, :]
-    a = annihilation(N)
-    adag = a.conj().T
-    acc = Y.copy()
-    term = Y
+    s = spec.c_r + spec.c_l
+    m = spec.c_m * t * _phi(s * t)
+    acc = X.copy()
+    term = X
     acc_norm = float(np.max(np.abs(acc)))
     converged = m == 0.0
     for j in range(1, N):
-        term = (m / j) * (a @ term @ adag)
+        term = (m / j) * _lower(term)
         acc += term
         acc_norm = max(acc_norm, float(np.max(np.abs(acc))))
         if float(np.max(np.abs(term))) <= SERIES_TOL * max(acc_norm, 1e-300):
@@ -340,7 +289,9 @@ def apply_factorized(spec: SuperopSpec, X: np.ndarray, t: float) -> np.ndarray:
             f"M-series term at truncation boundary still above "
             f"{SERIES_TOL:.0e} of the running norm (nmax={N - 1})"
         )
-    return cmath.exp(spec.c_s * t) * acc
+    left = np.exp(spec.c_r * t * n)
+    right = np.exp(spec.c_l * t * n)
+    return cmath.exp(spec.c_s * t) * ((left[:, None] * acc) * right[None, :])
 
 
 def dense_generator(spec: SuperopSpec, cfg: FockConfig) -> np.ndarray:
@@ -378,13 +329,9 @@ class DisentanglingReport:
 
 
 def _apply_generator(spec: SuperopSpec, X: np.ndarray) -> np.ndarray:
-    N = X.shape[0]
-    a = annihilation(N)
-    nh = number_op(N)
-    return (spec.c_m * (a @ X @ a.conj().T)
-            + spec.c_r * (nh @ X)
-            + spec.c_l * (X @ nh)
-            + spec.c_s * X)
+    n = np.arange(float(X.shape[0]))
+    return (spec.c_m * _lower(X)
+            + (spec.c_r * n[:, None] + spec.c_l * n + spec.c_s) * X)
 
 
 def verify_disentangling(Omega: float, kappa: float, t: float, cfg: FockConfig,
@@ -422,8 +369,7 @@ def verify_disentangling(Omega: float, kappa: float, t: float, cfg: FockConfig,
             X /= np.max(np.abs(X))
             ya = (prop @ X.ravel()).reshape(N, N)
             yb = apply_factorized(spec, X, t)
-            yc = rk45(lambda _t, y: _apply_generator(spec, y.reshape(N, N)).ravel(),
-                      X.ravel().astype(complex), 0.0, t, 1e-12).reshape(N, N)
+            yc = rk45(lambda _t, y: _apply_generator(spec, y), X, 0.0, t, 1e-12)
             scale = max(np.max(np.abs(ya)), np.max(np.abs(yb)),
                         np.max(np.abs(yc)), 1e-300)
             dev = max(np.max(np.abs(ya - yb)), np.max(np.abs(ya - yc)),

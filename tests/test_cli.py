@@ -151,6 +151,24 @@ class TestInputContract:
         assert main(argv) == code
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["timeseries", "--oracle", "--alpha-re", "100"],
+        ["verify", "--alpha-re", "100"],
+        ["timeseries", "--oracle", "--nmax", "100000"],
+    ])
+    def test_fock_truncation_limit(self, argv, capsys):
+        # default_nmax(100) is 10 810: rejected before any Fock-space array
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(liouville.NMAX_LIMIT) in captured.err
+
+    def test_closed_forms_need_no_fock_space(self, capsys):
+        # --t-end 10: over the default t range the closed-form f(t) itself
+        # overflows at |alpha| = 100 (exit 3), independently of nmax
+        assert main(["timeseries", "--alpha-re", "100", "--t-end", "10"]) == 0
+        assert capsys.readouterr().out.count("\n") > 600
+
 
 _FLOATS = [name for name, kind, *_ in OPTIONS if kind is float]
 
@@ -264,14 +282,20 @@ class TestVerify:
         assert "FAIL" not in out
         assert out.count("PASS") >= 7
 
+    def test_strong_decay_passes(self, capsys):
+        # the disentangling stage must stay stable at kappa t = 250
+        rc = main(["verify", "--kappa", "0.5"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "FAIL" not in out
+
     def test_misprinted_projector_detected(self, capsys, monkeypatch):
         def misprinted(Omega_eff, cfg):
             # both projectors on the |1> branch, a sign structure the
             # oracle checks must reject
             n = np.arange(float(cfg.dim))
-            diag = np.concatenate([np.zeros(cfg.dim), Omega_eff * (n + 1.0)
-                                   - Omega_eff * n])
-            return np.diag(diag).astype(complex)
+            return np.array([np.zeros(cfg.dim),
+                             Omega_eff * (n + 1.0) - Omega_eff * n])
 
         monkeypatch.setattr(liouville, "build_interaction_V", misprinted)
         rc = main(["verify", "--t-end", "120"])

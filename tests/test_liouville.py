@@ -19,6 +19,11 @@ class TestFockConfig:
         with pytest.raises(ValueError):
             lv.FockConfig(nmax=0)
 
+    def test_nmax_limit(self):
+        assert lv.FockConfig(nmax=lv.NMAX_LIMIT).dim == 501
+        with pytest.raises(ValueError, match="500"):
+            lv.FockConfig(nmax=lv.NMAX_LIMIT + 1)
+
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             lv.FockConfig(nmax=5, trunc_tol=0.0)
@@ -57,72 +62,52 @@ class TestCoherentVector:
 class TestInteractionV:
     def test_zero_shift(self):
         np.testing.assert_array_equal(
-            lv.build_interaction_V(0.0, CFG6), np.zeros((14, 14)))
+            lv.build_interaction_V(0.0, CFG6), np.zeros((2, 7)))
 
     def test_small_space_diagonal(self):
         v = lv.build_interaction_V(1.0, lv.FockConfig(nmax=1))
-        np.testing.assert_allclose(np.diag(v).real, [1.0, 2.0, 0.0, -1.0])
-        np.testing.assert_allclose(v, np.diag(np.diag(v)))
+        np.testing.assert_allclose(v.ravel(), [1.0, 2.0, 0.0, -1.0])
+        assert v.shape == (2, 2)
 
     def test_matches_dispersive_level_shifts(self):
         # shifts of H_e relative to the free part are Omega*(n+1) on the
         # upper branch and -Omega*n on the lower one
         Om = -1e-3
         v = lv.build_interaction_V(Om, CFG6)
-        diag = np.diag(v).real
         n = np.arange(7.0)
-        np.testing.assert_allclose(diag[:7], Om * (n + 1), atol=1e-18)
-        np.testing.assert_allclose(diag[7:], -Om * n, atol=1e-18)
+        np.testing.assert_allclose(v[0], Om * (n + 1), atol=1e-18)
+        np.testing.assert_allclose(v[1], -Om * n, atol=1e-18)
 
 
-class TestH2:
-    def test_free_hamiltonian(self):
-        h = lv.build_H2(2.0, 1.9, 0.0, CFG6)
-        np.testing.assert_allclose(h, np.diag(np.diag(h)))
-
-    def test_hermitian_and_conserves_excitation(self):
-        h = lv.build_H2(2.0, 1.946, 9.87e-3, CFG6)
-        np.testing.assert_allclose(h, h.conj().T, atol=1e-15)
-        ex = lv.excitation_number(CFG6)
-        assert np.max(np.abs(h @ ex - ex @ h)) < 1e-14
-
-    def test_single_excitation_eigenvalues(self):
-        omega, omega_p, g_p = 2.0, 1.9, 0.01
-        cfg = lv.FockConfig(nmax=1)
-        h = lv.build_H2(omega, omega_p, g_p, cfg)
-        # |0,n=0> and |1,n=1> span the single-excitation block
-        delta2 = omega_p - omega
-        block = np.array([[omega_p / 2, g_p],
-                          [g_p, omega - omega_p / 2]])
-        expected = np.sort(np.linalg.eigvalsh(block))
-        idx = [0, 3]  # basis order: atom0 n0, atom0 n1, atom1 n0, atom1 n1
-        sub = h[np.ix_(idx, idx)]
-        got = np.sort(np.linalg.eigvalsh(sub))
-        np.testing.assert_allclose(got, expected, atol=1e-14)
-        # and by hand: mid +- sqrt(delta2^2 + 4 g'^2)/2
-        mid = omega / 2
-        split = math.sqrt(delta2**2 + 4 * g_p**2) / 2
-        np.testing.assert_allclose(got, [mid - split, mid + split], atol=1e-14)
+def to_blocks(rho):
+    """Field blocks rho[a, b] of a joint matrix indexed atom * N + n."""
+    N = rho.shape[0] // 2
+    return rho.reshape(2, N, 2, N).transpose(0, 2, 1, 3)
 
 
-def lindblad_rhs(H, rho, kappa):
-    """The right-hand side `integrate` hands to rk45, applied to one matrix."""
-    return lv._make_rhs(H, kappa)(0.0, rho.ravel()).reshape(rho.shape)
+def to_joint(blocks):
+    N = blocks.shape[-1]
+    return blocks.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N)
+
+
+def lindblad_rhs(v, rho, kappa):
+    """The right-hand side `integrate` hands to rk45, applied to one state."""
+    return lv._make_rhs(v, kappa)(0.0, rho)
 
 
 class TestLindbladRHS:
     def test_zero(self):
-        rho = np.eye(14, dtype=complex) / 14
+        rho = to_blocks(np.eye(14, dtype=complex) / 14)
         np.testing.assert_array_equal(
-            lindblad_rhs(np.zeros((14, 14)), rho, 0.0),
-            np.zeros((14, 14)))
+            lindblad_rhs(np.zeros((2, 7)), rho, 0.0),
+            np.zeros((2, 2, 7, 7)))
 
     def test_fock_state_decay_rate(self):
         N = 7
-        rho = np.zeros((2 * N, 2 * N), dtype=complex)
-        rho[1, 1] = 1.0  # atom 0, field |1><1|
+        rho = np.zeros((2, 2, N, N), dtype=complex)
+        rho[0, 0, 1, 1] = 1.0  # atom 0, field |1><1|
         k = 0.37
-        out = lindblad_rhs(np.zeros((2 * N, 2 * N)), rho, k)
+        out = to_joint(lindblad_rhs(np.zeros((2, N)), rho, k))
         nfull = np.kron(np.eye(2), lv.number_op(N))
         dn_dt = np.trace(out @ nfull).real
         assert dn_dt == pytest.approx(-2 * k, rel=1e-12)
@@ -131,16 +116,34 @@ class TestLindbladRHS:
         rng = np.random.default_rng(2)
         m = rng.normal(size=(14, 14)) + 1j * rng.normal(size=(14, 14))
         rho = m + m.conj().T
-        h = lv.build_H2(2.0, 1.9, 0.01, CFG6)
-        out = lindblad_rhs(h, rho, 1e-3)
+        v = rng.normal(size=(2, 7))
+        out = to_joint(lindblad_rhs(v, to_blocks(rho), 1e-3))
         assert abs(np.trace(out)) < 1e-12
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
+    def test_matches_dense_master_equation(self):
+        N, k = 7, 0.37
+        rng = np.random.default_rng(11)
+        m = rng.normal(size=(2 * N, 2 * N)) + 1j * rng.normal(size=(2 * N, 2 * N))
+        rho = m + m.conj().T
+        v = rng.normal(size=(2, N))
+        H = np.diag(v.ravel())
+        a = np.kron(np.eye(2), lv.annihilation(N))
+        nh = a.conj().T @ a
+        dense = (-1j * (H @ rho - rho @ H)
+                 + k * (2.0 * a @ rho @ a.conj().T - nh @ rho - rho @ nh))
+        got = to_joint(lindblad_rhs(v, to_blocks(rho), k))
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13)
+
 
 def initial_state(alpha, cfg, c0=1 / math.sqrt(2), c1=1 / math.sqrt(2)):
-    atom = np.array([[abs(c0) ** 2, c0 * np.conj(c1)],
-                     [np.conj(c0) * c1, abs(c1) ** 2]], dtype=complex)
-    return lv.joint_initial_state(atom, lv.coherent_vector(alpha, cfg))
+    return lv.initial_blocks(c0, c1, lv.coherent_vector(alpha, cfg))
+
+
+def state_at(v, rho0, kappa, t, tol):
+    """Field blocks at time t, integrated from rho0 at t = 0."""
+    rho, = lv.integrate(v, rho0, kappa, [t], tol=tol)
+    return rho
 
 
 class TestIntegrate:
@@ -148,30 +151,31 @@ class TestIntegrate:
         cfg = lv.FockConfig(nmax=14)
         v = lv.build_interaction_V(-1e-3, cfg)
         st0 = initial_state(1.0, cfg)
-        st = lv.integrate(v, st0, 0.0, 200.0, tol=1e-10)
-        np.testing.assert_allclose(np.diag(st.rho).real,
-                                   np.diag(st0.rho).real, atol=1e-9)
+        st = state_at(v, st0, 0.0, 200.0, tol=1e-10)
+        np.testing.assert_allclose(np.diag(to_joint(st)).real,
+                                   np.diag(to_joint(st0)).real, atol=1e-9)
 
     def test_pure_decay_keeps_field_coherent(self):
         cfg = lv.FockConfig(nmax=14)
         k, t, alpha = 2e-3, 150.0, 1.0
-        st = lv.integrate(np.zeros((30, 30)), initial_state(alpha, cfg), k, t,
-                          tol=1e-10)
+        st = state_at(np.zeros((2, 15)), initial_state(alpha, cfg), k, t,
+                      tol=1e-10)
         nfull = np.kron(np.eye(2), lv.number_op(cfg.dim))
-        nbar = np.trace(st.rho @ nfull).real
+        nbar = np.trace(to_joint(st) @ nfull).real
         assert nbar == pytest.approx(alpha**2 * math.exp(-2 * k * t), abs=1e-8)
         vt = lv.coherent_vector(alpha * math.exp(-k * t), cfg)
-        rho00 = lv.block(st.rho, 0, 0)
+        rho00 = st[0, 0]
         np.testing.assert_allclose(rho00, 0.5 * np.outer(vt, vt.conj()),
                                    atol=1e-8)
 
     def test_trace_and_hermiticity_preserved(self):
         cfg = lv.FockConfig(nmax=14)
         v = lv.build_interaction_V(-1e-3, cfg)
-        st = lv.integrate(v, initial_state(1.0, cfg), 1e-3, 300.0, tol=1e-10)
-        assert abs(np.trace(st.rho) - 1.0) < 1e-8
-        assert np.max(np.abs(st.rho - st.rho.conj().T)) < 1e-10
-        assert np.linalg.eigvalsh(st.rho).min() > -1e-8
+        rho = to_joint(state_at(v, initial_state(1.0, cfg), 1e-3, 300.0,
+                                tol=1e-10))
+        assert abs(np.trace(rho) - 1.0) < 1e-8
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
+        assert np.linalg.eigvalsh(rho).min() > -1e-8
 
     def test_step_size_underflow(self):
         def bad_rhs(t, y):
@@ -186,10 +190,10 @@ class TestBlock:
         cfg = lv.FockConfig(nmax=4, trunc_tol=1e-4)
         field = lv.coherent_vector(0.5, cfg)
         rho_f = np.outer(field, field.conj())
-        st = lv.joint_initial_state(np.diag([1.0, 0.0]), field)
-        np.testing.assert_allclose(lv.block(st.rho, 0, 0), rho_f, atol=1e-15)
+        st = lv.initial_blocks(1.0, 0.0, field)
+        np.testing.assert_allclose(st[0, 0], rho_f, atol=1e-15)
         for (i, j) in [(0, 1), (1, 0), (1, 1)]:
-            np.testing.assert_allclose(lv.block(st.rho, i, j), 0, atol=1e-15)
+            np.testing.assert_allclose(st[i, j], 0, atol=1e-15)
 
     def test_initial_balanced_state_blocks(self):
         cfg = lv.FockConfig(nmax=12)
@@ -197,19 +201,7 @@ class TestBlock:
         v = lv.coherent_vector(1.0, cfg)
         half_dyad = 0.5 * np.outer(v, v.conj())
         for (i, j) in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            np.testing.assert_allclose(lv.block(st.rho, i, j), half_dyad,
-                                       atol=1e-14)
-
-    def test_hermiticity_relation(self):
-        rng = np.random.default_rng(4)
-        m = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
-        rho = m + m.conj().T
-        np.testing.assert_allclose(lv.block(rho, 1, 0),
-                                   lv.block(rho, 0, 1).conj().T, atol=1e-12)
-
-    def test_bad_indices(self):
-        with pytest.raises(ValueError):
-            lv.block(np.eye(4), 0, 2)
+            np.testing.assert_allclose(st[i, j], half_dyad, atol=1e-14)
 
 
 class TestSuperoperators:
@@ -330,10 +322,10 @@ class TestTruncationConvergence:
         for nmax, tol in [(20, 1e-8), (25, 5e-9)]:
             cfg = lv.FockConfig(nmax=nmax, trunc_tol=tol)
             v = lv.build_interaction_V(d.Omega_eff, cfg)
-            st = lv.integrate(v, initial_state(1.0, cfg), p.kappa, 100.0,
-                              tol=1e-11)
+            st = state_at(v, initial_state(1.0, cfg), p.kappa, 100.0,
+                          tol=1e-11)
             nfull = np.kron(np.eye(2), lv.number_op(cfg.dim))
-            results.append(np.trace(st.rho @ nfull).real)
+            results.append(np.trace(to_joint(st) @ nfull).real)
         assert abs(results[0] - results[1]) < 1e-8
 
 
@@ -343,7 +335,7 @@ def test_project_two_qubit_matches_embedding():
     d = derive_params(p)
     cfg = lv.FockConfig(nmax=20)
     v = lv.build_interaction_V(d.Omega_eff, cfg)
-    st = lv.integrate(v, initial_state(1.0, cfg), p.kappa, 80.0, tol=1e-10)
+    st = state_at(v, initial_state(1.0, cfg), p.kappa, 80.0, tol=1e-10)
     s = an.evolve(p, d, 80.0)
-    got = lv.project_two_qubit(st.rho, s.alpha_plus, s.alpha_minus, cfg)
+    got = lv.project_two_qubit(st, s.alpha_plus, s.alpha_minus, cfg)
     np.testing.assert_allclose(got, an.two_qubit_density(s), atol=1e-7)
