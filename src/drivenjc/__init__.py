@@ -28,6 +28,7 @@ from .liouville import (
     TruncationError,
     coherent_vector,
     default_nmax,
+    generator,
     integrate,
     verify_disentangling,
 )

@@ -51,9 +51,10 @@ def branches(alpha: complex, kappa: float, Omega: float, t: float):
     """(alpha_plus, alpha_minus, f) at times t >= 0.
 
     alpha_pm = alpha exp(-(kappa +- i Omega) t) are the field amplitudes of
-    the dressed |0> and |1> branches, f the coherence factor.  For kappa = 0
-    the second factor of f(t) is exactly 1 (the kappa/(kappa + i Omega)
-    prefactor vanishes), so f reduces to a pure phase.
+    the dressed |0> and |1> branches, f the coherence factor, one exp of
+    the summed exponent (at large |alpha| its parts underflow and overflow
+    apart while |f| <= 1).  For kappa = 0 the damping term is exactly 0
+    (the kappa/(kappa + i Omega) prefactor vanishes): f is a pure phase.
     """
     _check_times(t)
     a_plus = alpha * np.exp(-(kappa + 1j * Omega) * t)
@@ -62,8 +63,8 @@ def branches(alpha: complex, kappa: float, Omega: float, t: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         damping = np.where(kappa == 0.0, 0.0, kappa * n0 / (kappa + 1j * Omega)
                            * (1.0 - np.exp(-2.0 * (kappa + 1j * Omega) * t)))
-    f = np.exp(-1j * Omega * t + n0 * (np.exp(-2.0 * kappa * t) - 1.0))
-    return a_plus, a_minus, f * np.exp(damping)
+    f = np.exp(-1j * Omega * t + n0 * (np.exp(-2.0 * kappa * t) - 1.0) + damping)
+    return a_plus, a_minus, f
 
 
 def evolve(p: ModelParams, d: DerivedParams, t: float) -> AnalyticSnapshot:

@@ -28,6 +28,10 @@ DENSE_GUARD = 64
 #: Largest accepted Fock truncation; one oracle state at nmax = 500 is 16 MB.
 NMAX_LIMIT = 500
 SERIES_TOL = 1e-12
+#: random Hermitian test operators per generator in verify_disentangling,
+#: and the seed they are drawn from
+VERIFY_MATRICES = 3
+VERIFY_SEED = 1234
 
 
 class TruncationError(ValueError):
@@ -77,24 +81,19 @@ class SuperopSpec:
     c_s: complex = 0.0
 
 
-def generator_00(Omega: float, kappa: float) -> SuperopSpec:
-    """Generator of the dressed |0><0| field block."""
+def generator(Omega: float, kappa: float, a, b) -> SuperopSpec:
+    """Generator of the field block rho_ab = <a| rho |b> of the dressed atom.
+
+    d rho_ab/dt = -i(v_a(n) - v_b(m)) rho_ab - kappa(n + m) rho_ab
+    + 2 kappa a rho_ab adag, with the dispersive level shifts
+    v_0(n) = Omega(n + 1) and v_1(n) = -Omega n.  The atom indices a, b
+    may be index arrays that broadcast.
+    """
+    s_a, s_b = 1 - 2 * a, 1 - 2 * b
     return SuperopSpec(c_m=2.0 * kappa,
-                       c_r=-(kappa + 1j * Omega),
-                       c_l=-(kappa - 1j * Omega))
-
-
-def generator_11(Omega: float, kappa: float) -> SuperopSpec:
-    """Generator of the dressed |1><1| field block."""
-    return generator_00(-Omega, kappa)
-
-
-def generator_01(Omega: float, kappa: float) -> SuperopSpec:
-    """Generator of the dressed |0><1| coherence block."""
-    return SuperopSpec(c_m=2.0 * kappa,
-                       c_r=-(kappa + 1j * Omega),
-                       c_l=-(kappa + 1j * Omega),
-                       c_s=-1j * Omega)
+                       c_r=-(kappa + 1j * Omega * s_a),
+                       c_l=-(kappa - 1j * Omega * s_b),
+                       c_s=-1j * Omega * (b - a))
 
 
 def default_nmax(alpha: complex) -> int:
@@ -142,15 +141,6 @@ def _lower(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_interaction_V(Omega_eff: float, cfg: FockConfig) -> np.ndarray:
-    """Diagonal of the dispersive interaction-picture Hamiltonian, shape (2, N).
-
-    Row 0 (dressed |0>) holds Omega*(n+1), row 1 (dressed |1>) -Omega*n.
-    """
-    n = np.arange(float(cfg.dim))
-    return np.array([Omega_eff * (n + 1.0), -Omega_eff * n])
-
-
 def initial_blocks(c0: complex, c1: complex, field_vec: np.ndarray) -> np.ndarray:
     """Field blocks rho[a, b] = c_a conj(c_b) |v><v| of (c0|0> + c1|1>) x |v>."""
     c = np.array([c0, c1], dtype=complex)
@@ -158,29 +148,30 @@ def initial_blocks(c0: complex, c1: complex, field_vec: np.ndarray) -> np.ndarra
                              np.outer(field_vec, np.conj(field_vec)))
 
 
-def _make_rhs(v: np.ndarray, kappa: float):
-    """Lindblad RHS on field blocks for the (2, N) Hamiltonian diagonal v:
-    d rho_ab/dt = -i(v_a(n) - v_b(m)) rho_ab - kappa(n + m) rho_ab
-    + 2 kappa a rho_ab adag."""
-    n = np.arange(float(v.shape[1]))
-    diag = (-1j * (v[:, None, :, None] - v[None, :, None, :])
-            - kappa * (n[:, None] + n))
-    return lambda _t, rho: diag * rho + (2.0 * kappa) * _lower(rho)
+def _make_rhs(spec: SuperopSpec, N: int):
+    """Right-hand side X -> spec X on the last two axes (Fock dimension N),
+    the one Lindblad action every rk45 run of this module integrates."""
+    n = np.arange(float(N))
+    diag = spec.c_r * n[:, None] + spec.c_l * n + spec.c_s
+    return lambda _t, X: diag * X + spec.c_m * _lower(X)
 
 
-def integrate(v: np.ndarray, rho0: np.ndarray, kappa: float, times,
+def integrate(Omega: float, kappa: float, rho0: np.ndarray, times,
               tol: float = 1e-10):
     """Yield the field blocks at each of `times`, starting from rho0 at t = 0.
 
-    `v` is the (2, N) diagonal of build_interaction_V; `times` must be
-    non-decreasing and >= 0.  Each sample restarts rk45 from the previous
-    one with the same initial step.
+    Omega is the dispersive shift, rho0 the (2, 2, N, N) block array;
+    `times` must be non-decreasing and >= 0.  Each sample restarts rk45
+    from the previous one with the same initial step.
     """
     times = np.asarray(times, dtype=float)
     if times.size and (np.any(np.diff(times) < 0) or times[0] < 0):
         raise ValueError("times must be non-decreasing and >= 0")
-    rhs = _make_rhs(v, kappa)
-    h0 = 1.0 / (100.0 * (2.0 * kappa + float(np.max(np.abs(v))) + 1e-30))
+    N = rho0.shape[-1]
+    a, b = np.indices((2, 2, 1, 1), sparse=True)[:2]
+    rhs = _make_rhs(generator(Omega, kappa, a, b), N)
+    # |Omega| N is the largest level shift, max |v_a(n)|
+    h0 = 1.0 / (100.0 * (2.0 * kappa + abs(Omega) * N + 1e-30))
     rho, t0 = rho0, 0.0
     for t in times:
         if t > t0:
@@ -203,8 +194,7 @@ def oracle_series(p: ModelParams, d: DerivedParams, times: np.ndarray,
     fock = FockConfig(nmax=nmax)
     times = np.asarray(times, dtype=float)
     rho0 = initial_blocks(p.c0, p.c1, coherent_vector(p.alpha, fock))
-    states = integrate(build_interaction_V(d.Omega_eff, fock), rho0, p.kappa,
-                       times, tol)
+    states = integrate(d.Omega_eff, p.kappa, rho0, times, tol)
     snap = analytic.evolve(p, d, times)
     n = np.arange(float(fock.dim))
     conc, entr, nbar, trace_err = [], [], [], []
@@ -248,25 +238,16 @@ def _phi(z: complex) -> complex:
     return (cmath.exp(z) - 1.0) / z
 
 
-def m_coefficient(spec: SuperopSpec, t: float) -> complex:
-    """Coefficient of M in the disentangled exponential at time t.
-
-    Solves m' + (c_r + c_l) m = c_m, m(0) = 0, which follows from the
-    shift algebra [R, M] = [L, M] = -M.
-    """
-    s = spec.c_r + spec.c_l
-    return spec.c_m * t * _phi(-s * t)
-
-
 def apply_factorized(spec: SuperopSpec, X: np.ndarray, t: float) -> np.ndarray:
     """Apply exp(spec * t) to X via the ordered product of exponentials.
 
-    exp(c_s t) exp(c_r t R) exp(c_l t L) exp(m' M): the M factor is a
+    exp(c_s t) exp(c_r t R) exp(c_l t L) exp(m M): the M factor is a
     convergent operator series, the R and L factors diagonal scalings.
-    Moving exp(m M) of m_coefficient to the right through the scalings
-    gives m' = m exp((c_r + c_l) t) = c_m t phi((c_r + c_l) t), which stays
-    bounded under decay; m itself grows as exp(2 kappa t) and its series
-    would cancel against the exp(-kappa t n) scalings.
+    The shift algebra [R, M] = [L, M] = -M gives m = c_m t phi((c_r + c_l) t),
+    which stays bounded under decay (1 - exp(-2 kappa t) for a population
+    block).  With the M factor on the left its coefficient would grow as
+    exp(2 kappa t), and its series would cancel against the
+    exp(-kappa t n) scalings.
     """
     X = np.asarray(X, dtype=complex)
     N = X.shape[0]
@@ -328,15 +309,8 @@ class DisentanglingReport:
                 and all(v < self.dyad_tol for v in self.dyad_max_abs_err.values()))
 
 
-def _apply_generator(spec: SuperopSpec, X: np.ndarray) -> np.ndarray:
-    n = np.arange(float(X.shape[0]))
-    return (spec.c_m * _lower(X)
-            + (spec.c_r * n[:, None] + spec.c_l * n + spec.c_s) * X)
-
-
 def verify_disentangling(Omega: float, kappa: float, t: float, cfg: FockConfig,
-                         alpha: complex = 1.0, n_matrices: int = 3,
-                         seed: int = 1234) -> DisentanglingReport:
+                         alpha: complex = 1.0) -> DisentanglingReport:
     """Cross-check the factorized exponentials three independent ways.
 
     For each block generator: (a) dense matrix exponential of the
@@ -346,22 +320,19 @@ def verify_disentangling(Omega: float, kappa: float, t: float, cfg: FockConfig,
     """
     if cfg.dim > 32:
         raise DimensionGuard(f"verification guard: N={cfg.dim} > 32")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VERIFY_SEED)
     report = DisentanglingReport()
-    specs = {
-        "L00": generator_00(Omega, kappa),
-        "L11": generator_11(Omega, kappa),
-        "L01": generator_01(Omega, kappa),
-    }
+    specs = {(a, b): generator(Omega, kappa, a, b)
+             for a, b in ((0, 0), (1, 1), (0, 1), (1, 0))}
     N = cfg.dim
-    for name, spec in specs.items():
+    for (a, b), spec in specs.items():
         G = dense_generator(spec, cfg)
         prop = expm(G * t)
         worst = 0.0
         # test matrices leave the top Fock levels empty so the M-series
         # terminates before the truncation boundary
         sup = max(1, N - 2)
-        for _ in range(n_matrices):
+        for _ in range(VERIFY_MATRICES):
             X = np.zeros((N, N), dtype=complex)
             X[:sup, :sup] = rng.normal(size=(sup, sup)) \
                 + 1j * rng.normal(size=(sup, sup))
@@ -369,30 +340,30 @@ def verify_disentangling(Omega: float, kappa: float, t: float, cfg: FockConfig,
             X /= np.max(np.abs(X))
             ya = (prop @ X.ravel()).reshape(N, N)
             yb = apply_factorized(spec, X, t)
-            yc = rk45(lambda _t, y: _apply_generator(spec, y), X, 0.0, t, 1e-12)
+            yc = rk45(_make_rhs(spec, N), X, 0.0, t, 1e-12)
             scale = max(np.max(np.abs(ya)), np.max(np.abs(yb)),
                         np.max(np.abs(yc)), 1e-300)
             dev = max(np.max(np.abs(ya - yb)), np.max(np.abs(ya - yc)),
                       np.max(np.abs(yb - yc))) / scale
             worst = max(worst, dev)
-        report.max_pairwise_dev[name] = worst
+        report.max_pairwise_dev[f"L{a}{b}"] = worst
 
     # Closed-form coherent-dyad targets.  The continuum closed form is only
     # reproducible when the coherent state fits in the truncated space, so
     # this stage enlarges nmax as needed; the three-way dense check above
-    # runs at the requested cfg.
-    dyad_cfg = FockConfig(nmax=max(cfg.nmax, default_nmax(alpha)), trunc_tol=1e-6)
+    # runs at the requested cfg.  The dyads are compared entry by entry,
+    # and amplitudes outlast probabilities in the Fock tail, so nmax is
+    # sized for 2|alpha| up to NMAX_LIMIT, never below default_nmax(alpha).
+    nmax = max(cfg.nmax, default_nmax(alpha),
+               min(NMAX_LIMIT, default_nmax(2.0 * abs(alpha))))
+    dyad_cfg = FockConfig(nmax=nmax, trunc_tol=1e-6)
     v0 = coherent_vector(alpha, dyad_cfg)
     dyad = 0.5 * np.outer(v0, v0.conj())
     a_plus, a_minus, f = analytic.branches(alpha, kappa, Omega, t)
-    vp = coherent_vector(a_plus, dyad_cfg)
-    vm = coherent_vector(a_minus, dyad_cfg)
-    targets = {
-        "L00": 0.5 * np.outer(vp, vp.conj()),
-        "L11": 0.5 * np.outer(vm, vm.conj()),
-        "L01": 0.5 * f * np.outer(vp, vm.conj()),
-    }
-    for name, spec in specs.items():
+    branch = (coherent_vector(a_plus, dyad_cfg), coherent_vector(a_minus, dyad_cfg))
+    weight = ((1.0, f), (np.conj(f), 1.0))
+    for (a, b), spec in specs.items():
+        target = 0.5 * weight[a][b] * np.outer(branch[a], branch[b].conj())
         got = apply_factorized(spec, dyad, t)
-        report.dyad_max_abs_err[name] = float(np.max(np.abs(got - targets[name])))
+        report.dyad_max_abs_err[f"L{a}{b}"] = float(np.max(np.abs(got - target)))
     return report

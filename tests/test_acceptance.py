@@ -194,10 +194,9 @@ def test_criterion_8_integrator_invariants():
         phi = rng.uniform(0.0, 2 * math.pi)
         c0, c1 = math.cos(phi), math.sin(phi)
         fock = liouville.FockConfig(nmax=liouville.default_nmax(alpha))
-        V = liouville.build_interaction_V(Omega, fock)
         state = liouville.initial_blocks(
             c0, c1, liouville.coherent_vector(alpha, fock))
-        final, = liouville.integrate(V, state, kappa, [t_end], tol=1e-10)
+        final, = liouville.integrate(Omega, kappa, state, [t_end], tol=1e-10)
         # joint matrix over (atom, Fock level) assembled from the blocks
         rho = final.transpose(0, 2, 1, 3).reshape(2 * fock.dim, 2 * fock.dim)
         worst_trace = max(worst_trace, abs(np.trace(rho).real - 1.0))

@@ -59,24 +59,8 @@ class TestCoherentVector:
         assert exc.value.norm_loss > 1e-3
 
 
-class TestInteractionV:
-    def test_zero_shift(self):
-        np.testing.assert_array_equal(
-            lv.build_interaction_V(0.0, CFG6), np.zeros((2, 7)))
-
-    def test_small_space_diagonal(self):
-        v = lv.build_interaction_V(1.0, lv.FockConfig(nmax=1))
-        np.testing.assert_allclose(v.ravel(), [1.0, 2.0, 0.0, -1.0])
-        assert v.shape == (2, 2)
-
-    def test_matches_dispersive_level_shifts(self):
-        # shifts of H_e relative to the free part are Omega*(n+1) on the
-        # upper branch and -Omega*n on the lower one
-        Om = -1e-3
-        v = lv.build_interaction_V(Om, CFG6)
-        n = np.arange(7.0)
-        np.testing.assert_allclose(v[0], Om * (n + 1), atol=1e-18)
-        np.testing.assert_allclose(v[1], -Om * n, atol=1e-18)
+#: atom indices a, b of the field blocks rho[a, b], broadcast over (2, 2, N, N)
+BLOCKS = np.indices((2, 2, 1, 1), sparse=True)[:2]
 
 
 def to_blocks(rho):
@@ -90,16 +74,57 @@ def to_joint(blocks):
     return blocks.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N)
 
 
-def lindblad_rhs(v, rho, kappa):
+def lindblad_rhs(Omega, rho, kappa):
     """The right-hand side `integrate` hands to rk45, applied to one state."""
-    return lv._make_rhs(v, kappa)(0.0, rho)
+    spec = lv.generator(Omega, kappa, *BLOCKS)
+    return lv._make_rhs(spec, rho.shape[-1])(0.0, rho)
+
+
+def level_shift_rhs(v):
+    """-i(v_a(n) - v_b(m)) for a (2, N) table of level shifts v_a(n)."""
+    return -1j * (v[:, None, :, None] - v[None, :, None, :])
+
+
+class TestGenerator:
+    def test_zero_shift(self):
+        # without the dispersive shift every block only decays
+        spec = lv.generator(0.0, 0.37, *BLOCKS)
+        assert spec.c_m == 0.74
+        assert np.all(spec.c_r == -0.37) and np.all(spec.c_l == -0.37)
+        assert np.all(spec.c_s == 0.0)
+
+    def test_small_space_diagonal(self):
+        # Omega = 1, N = 2: v_0 = Omega(n+1) = (1, 2), v_1 = -Omega n = (0, -1)
+        got = lindblad_rhs(1.0, np.ones((2, 2, 2, 2), dtype=complex), 0.0)
+        v = np.array([[1.0, 2.0], [0.0, -1.0]])
+        np.testing.assert_allclose(got, level_shift_rhs(v))
+
+    def test_matches_dispersive_level_shifts(self):
+        # shifts of H_e relative to the free part are Omega*(n+1) on the
+        # upper branch and -Omega*n on the lower one
+        Om = -1e-3
+        n = np.arange(7.0)
+        got = lindblad_rhs(Om, np.ones((2, 2, 7, 7), dtype=complex), 0.0)
+        v = np.array([Om * (n + 1), -Om * n])
+        np.testing.assert_allclose(got, level_shift_rhs(v), atol=1e-18)
+
+    def test_single_block_matches_broadcast(self):
+        # verify_disentangling builds one block at a time, the oracle all four
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 2, 7, 7)) + 1j * rng.normal(size=(2, 2, 7, 7))
+        Om, k = 0.3, 0.2
+        joint = lindblad_rhs(Om, x, k)
+        for a in range(2):
+            for b in range(2):
+                one = lv._make_rhs(lv.generator(Om, k, a, b), 7)(0.0, x[a, b])
+                np.testing.assert_allclose(one, joint[a, b], rtol=0, atol=1e-15)
 
 
 class TestLindbladRHS:
     def test_zero(self):
         rho = to_blocks(np.eye(14, dtype=complex) / 14)
         np.testing.assert_array_equal(
-            lindblad_rhs(np.zeros((2, 7)), rho, 0.0),
+            lindblad_rhs(0.0, rho, 0.0),
             np.zeros((2, 2, 7, 7)))
 
     def test_fock_state_decay_rate(self):
@@ -107,7 +132,7 @@ class TestLindbladRHS:
         rho = np.zeros((2, 2, N, N), dtype=complex)
         rho[0, 0, 1, 1] = 1.0  # atom 0, field |1><1|
         k = 0.37
-        out = to_joint(lindblad_rhs(np.zeros((2, N)), rho, k))
+        out = to_joint(lindblad_rhs(0.0, rho, k))
         nfull = np.kron(np.eye(2), lv.number_op(N))
         dn_dt = np.trace(out @ nfull).real
         assert dn_dt == pytest.approx(-2 * k, rel=1e-12)
@@ -116,8 +141,8 @@ class TestLindbladRHS:
         rng = np.random.default_rng(2)
         m = rng.normal(size=(14, 14)) + 1j * rng.normal(size=(14, 14))
         rho = m + m.conj().T
-        v = rng.normal(size=(2, 7))
-        out = to_joint(lindblad_rhs(v, to_blocks(rho), 1e-3))
+        Om = rng.normal()
+        out = to_joint(lindblad_rhs(Om, to_blocks(rho), 1e-3))
         assert abs(np.trace(out)) < 1e-12
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
@@ -126,13 +151,14 @@ class TestLindbladRHS:
         rng = np.random.default_rng(11)
         m = rng.normal(size=(2 * N, 2 * N)) + 1j * rng.normal(size=(2 * N, 2 * N))
         rho = m + m.conj().T
-        v = rng.normal(size=(2, N))
-        H = np.diag(v.ravel())
+        Om = rng.normal()
+        n = np.arange(float(N))
+        H = np.diag(np.concatenate([Om * (n + 1.0), -Om * n]))
         a = np.kron(np.eye(2), lv.annihilation(N))
         nh = a.conj().T @ a
         dense = (-1j * (H @ rho - rho @ H)
                  + k * (2.0 * a @ rho @ a.conj().T - nh @ rho - rho @ nh))
-        got = to_joint(lindblad_rhs(v, to_blocks(rho), k))
+        got = to_joint(lindblad_rhs(Om, to_blocks(rho), k))
         np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13)
 
 
@@ -140,26 +166,24 @@ def initial_state(alpha, cfg, c0=1 / math.sqrt(2), c1=1 / math.sqrt(2)):
     return lv.initial_blocks(c0, c1, lv.coherent_vector(alpha, cfg))
 
 
-def state_at(v, rho0, kappa, t, tol):
+def state_at(Omega, rho0, kappa, t, tol):
     """Field blocks at time t, integrated from rho0 at t = 0."""
-    rho, = lv.integrate(v, rho0, kappa, [t], tol=tol)
+    rho, = lv.integrate(Omega, kappa, rho0, [t], tol=tol)
     return rho
 
 
 class TestIntegrate:
     def test_diagonal_hamiltonian_preserves_populations(self):
         cfg = lv.FockConfig(nmax=14)
-        v = lv.build_interaction_V(-1e-3, cfg)
         st0 = initial_state(1.0, cfg)
-        st = state_at(v, st0, 0.0, 200.0, tol=1e-10)
+        st = state_at(-1e-3, st0, 0.0, 200.0, tol=1e-10)
         np.testing.assert_allclose(np.diag(to_joint(st)).real,
                                    np.diag(to_joint(st0)).real, atol=1e-9)
 
     def test_pure_decay_keeps_field_coherent(self):
         cfg = lv.FockConfig(nmax=14)
         k, t, alpha = 2e-3, 150.0, 1.0
-        st = state_at(np.zeros((2, 15)), initial_state(alpha, cfg), k, t,
-                      tol=1e-10)
+        st = state_at(0.0, initial_state(alpha, cfg), k, t, tol=1e-10)
         nfull = np.kron(np.eye(2), lv.number_op(cfg.dim))
         nbar = np.trace(to_joint(st) @ nfull).real
         assert nbar == pytest.approx(alpha**2 * math.exp(-2 * k * t), abs=1e-8)
@@ -170,8 +194,7 @@ class TestIntegrate:
 
     def test_trace_and_hermiticity_preserved(self):
         cfg = lv.FockConfig(nmax=14)
-        v = lv.build_interaction_V(-1e-3, cfg)
-        rho = to_joint(state_at(v, initial_state(1.0, cfg), 1e-3, 300.0,
+        rho = to_joint(state_at(-1e-3, initial_state(1.0, cfg), 1e-3, 300.0,
                                 tol=1e-10))
         assert abs(np.trace(rho) - 1.0) < 1e-8
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
@@ -205,27 +228,10 @@ class TestBlock:
 
 
 class TestSuperoperators:
-    def test_m_coefficient_decay_block(self):
-        k, Om, t = 1e-3, -1e-3, 250.0
-        spec = lv.generator_00(Om, k)
-        assert lv.m_coefficient(spec, t) == pytest.approx(
-            math.exp(2 * k * t) - 1.0, rel=1e-12)
-
-    def test_m_coefficient_lossless(self):
-        spec = lv.generator_00(1e-3, 0.0)
-        assert lv.m_coefficient(spec, 123.0) == 0.0
-
-    def test_m_coefficient_coherence_block(self):
-        k, Om, t = 1e-3, 1e-3, 100.0
-        spec = lv.generator_01(Om, k)
-        z = k + 1j * Om
-        expected = k * (cmath.exp(2 * z * t) - 1.0) / z
-        assert lv.m_coefficient(spec, t) == pytest.approx(expected, rel=1e-12)
-
     def test_apply_factorized_identity_at_t0(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-        spec = lv.generator_01(1e-3, 1e-3)
+        spec = lv.generator(1e-3, 1e-3, 0, 1)
         np.testing.assert_allclose(lv.apply_factorized(spec, x, 0.0), x,
                                    atol=1e-15)
 
@@ -233,7 +239,7 @@ class TestSuperoperators:
         Om, k, t, alpha = -1e-3, 1e-3, 100.0, 1.0
         cfg = lv.FockConfig(nmax=20)
         v0 = lv.coherent_vector(alpha, cfg)
-        out = lv.apply_factorized(lv.generator_00(Om, k),
+        out = lv.apply_factorized(lv.generator(Om, k, 0, 0),
                                   0.5 * np.outer(v0, v0.conj()), t)
         ap = alpha * cmath.exp(-(k + 1j * Om) * t)
         vp = lv.coherent_vector(ap, cfg)
@@ -249,7 +255,7 @@ class TestSuperoperators:
         assert d.Omega_eff == pytest.approx(Om, rel=1e-12)
         s = an.evolve(p, d, t)
         v0 = lv.coherent_vector(alpha, cfg)
-        out = lv.apply_factorized(lv.generator_01(Om, k),
+        out = lv.apply_factorized(lv.generator(Om, k, 0, 1),
                                   0.5 * np.outer(v0, v0.conj()), t)
         vp = lv.coherent_vector(s.alpha_plus, cfg)
         vm = lv.coherent_vector(s.alpha_minus, cfg)
@@ -260,7 +266,7 @@ class TestSuperoperators:
         rng = np.random.default_rng(13)
         x = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
         x = x + x.conj().T
-        spec = lv.generator_00(-1e-3, 1e-2)  # m = e^{2kt}-1 large
+        spec = lv.generator(-1e-3, 1e-2, 0, 0)  # m = 1 - e^{-2kt}, about 1
         with pytest.raises(lv.SeriesNotConverged):
             lv.apply_factorized(spec, x, 500.0)
 
@@ -281,7 +287,7 @@ class TestSuperoperators:
     def test_dense_matches_direct_action(self):
         rng = np.random.default_rng(17)
         x = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-        spec = lv.generator_01(2e-3, 1e-3)
+        spec = lv.generator(2e-3, 1e-3, 0, 1)
         g = lv.dense_generator(spec, CFG6)
         a = lv.annihilation(7)
         nh = lv.number_op(7)
@@ -307,6 +313,7 @@ class TestVerifyDisentangling:
         assert rep.passed
         assert max(rep.max_pairwise_dev.values()) < 1e-8
         assert max(rep.dyad_max_abs_err.values()) < 1e-10
+        assert sorted(rep.dyad_max_abs_err) == ["L00", "L01", "L10", "L11"]
 
     def test_guard(self):
         with pytest.raises(lv.DimensionGuard):
@@ -321,8 +328,7 @@ class TestTruncationConvergence:
         results = []
         for nmax, tol in [(20, 1e-8), (25, 5e-9)]:
             cfg = lv.FockConfig(nmax=nmax, trunc_tol=tol)
-            v = lv.build_interaction_V(d.Omega_eff, cfg)
-            st = state_at(v, initial_state(1.0, cfg), p.kappa, 100.0,
+            st = state_at(d.Omega_eff, initial_state(1.0, cfg), p.kappa, 100.0,
                           tol=1e-11)
             nfull = np.kron(np.eye(2), lv.number_op(cfg.dim))
             results.append(np.trace(to_joint(st) @ nfull).real)
@@ -334,8 +340,8 @@ def test_project_two_qubit_matches_embedding():
                     kappa=1e-3, alpha=1.0)
     d = derive_params(p)
     cfg = lv.FockConfig(nmax=20)
-    v = lv.build_interaction_V(d.Omega_eff, cfg)
-    st = state_at(v, initial_state(1.0, cfg), p.kappa, 80.0, tol=1e-10)
+    st = state_at(d.Omega_eff, initial_state(1.0, cfg), p.kappa, 80.0,
+                  tol=1e-10)
     s = an.evolve(p, d, 80.0)
     got = lv.project_two_qubit(st, s.alpha_plus, s.alpha_minus, cfg)
     np.testing.assert_allclose(got, an.two_qubit_density(s), atol=1e-7)
