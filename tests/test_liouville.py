@@ -85,7 +85,9 @@ def level_shift_rhs(v):
     return -1j * (v[:, None, :, None] - v[None, :, None, :])
 
 
-class TestGenerator:
+class TestInteractionV:
+    """The dispersive level shifts v_a(n) as written by `generator`."""
+
     def test_zero_shift(self):
         # without the dispersive shift every block only decays
         spec = lv.generator(0.0, 0.37, *BLOCKS)
@@ -227,7 +229,35 @@ class TestBlock:
             np.testing.assert_allclose(st[i, j], half_dyad, atol=1e-14)
 
 
+def m_coefficient(spec, t):
+    """Coefficient of M in apply_factorized, read off its action on |1><1|.
+
+    The M-series maps |1><1| to |1><1| + m |0><0| and the R, L scalings
+    leave |0><0| alone, so the (0, 0) entry is exp(c_s t) m.
+    """
+    x = np.zeros((7, 7), dtype=complex)
+    x[1, 1] = 1.0
+    return lv.apply_factorized(spec, x, t)[0, 0] / cmath.exp(spec.c_s * t)
+
+
 class TestSuperoperators:
+    def test_m_coefficient_decay_block(self):
+        k, Om, t = 1e-3, -1e-3, 250.0
+        spec = lv.generator(Om, k, 0, 0)
+        assert m_coefficient(spec, t) == pytest.approx(
+            1.0 - math.exp(-2 * k * t), rel=1e-12)
+
+    def test_m_coefficient_lossless(self):
+        spec = lv.generator(1e-3, 0.0, 0, 0)
+        assert m_coefficient(spec, 123.0) == 0.0
+
+    def test_m_coefficient_coherence_block(self):
+        k, Om, t = 1e-3, 1e-3, 100.0
+        spec = lv.generator(Om, k, 0, 1)
+        z = k + 1j * Om
+        expected = k * (1.0 - cmath.exp(-2 * z * t)) / z
+        assert m_coefficient(spec, t) == pytest.approx(expected, rel=1e-12)
+
     def test_apply_factorized_identity_at_t0(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
