@@ -16,20 +16,21 @@ class InvalidDensityMatrix(ValueError):
 
 def _check_density(rho: np.ndarray, trace_tol: float = 1e-6,
                    eig_tol: float = 1e-6) -> None:
+    """Raise unless every matrix on the last two axes is a density matrix."""
     rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InvalidDensityMatrix(f"expected a square matrix, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > trace_tol:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise InvalidDensityMatrix(f"expected square matrices, got {rho.shape}")
+    if np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj())) > trace_tol:
         raise InvalidDensityMatrix("matrix is not Hermitian")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > trace_tol:
-        raise InvalidDensityMatrix(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -eig_tol:
-        raise InvalidDensityMatrix(f"negative eigenvalue {evals.min():.3e}")
+    dev = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))
+    if dev > trace_tol:
+        raise InvalidDensityMatrix(f"trace deviates from 1 by {dev:.3e}")
+    lowest = np.linalg.eigvalsh(rho).min()
+    if lowest < -eig_tol:
+        raise InvalidDensityMatrix(f"negative eigenvalue {lowest:.3e}")
 
 
-def wootters_concurrence(rho: np.ndarray) -> float:
+def wootters_concurrence(rho: np.ndarray):
     """Concurrence C = max{0, l1 - l2 - l3 - l4} of a 4x4 density matrix.
 
     The l_i are the decreasing square roots of the eigenvalues of
@@ -38,22 +39,25 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     precision; instead the l_i are computed as the singular values of the
     complex-symmetric matrix X^T (sy x sy) X with rho = X X^H, which is
     algebraically identical and keeps near-zero l_i at full accuracy.
+    A stack of matrices (..., 4, 4) gives an array of concurrences.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise InvalidDensityMatrix(f"expected a 4x4 matrix, got {rho.shape}")
+    if rho.shape[-2:] != (4, 4):
+        raise InvalidDensityMatrix(f"expected 4x4 matrices, got {rho.shape}")
     _check_density(rho)
     evals, vecs = np.linalg.eigh(rho)
-    X = vecs * np.sqrt(np.clip(evals, 0.0, None))
-    tau = X.T @ SPIN_FLIP @ X
+    X = vecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]
+    tau = np.swapaxes(X, -1, -2) @ SPIN_FLIP @ X
     lam = np.linalg.svd(tau, compute_uv=False)
-    c = lam[0] - lam[1] - lam[2] - lam[3]
-    return float(min(max(c, 0.0), 1.0))
+    c = np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0, 1.0)
+    return float(c) if c.ndim == 0 else c
 
 
-def linear_entropy_general(rho: np.ndarray) -> float:
-    """Linear entropy S = 1 - Tr(rho^2) of a density matrix of any dimension."""
+def linear_entropy_general(rho: np.ndarray):
+    """Linear entropy S = 1 - Tr(rho^2) of a density matrix of any dimension,
+    or an array of them for a stack (..., d, d)."""
     rho = np.asarray(rho, dtype=complex)
     _check_density(rho)
-    purity = np.trace(rho @ rho).real
-    return float(max(1.0 - purity, 0.0))
+    purity = np.trace(rho @ rho, axis1=-2, axis2=-1).real
+    s = np.maximum(1.0 - purity, 0.0)
+    return float(s) if s.ndim == 0 else s

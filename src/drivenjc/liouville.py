@@ -1,9 +1,10 @@
 """Truncated-Fock-space numerical oracle for the dissipative dynamics.
 
 Everything the closed-form path claims is re-derived here by independent
-means: the master equation is integrated directly in a truncated Fock
-space, and the disentangled superoperator exponentials are checked
-against dense matrix exponentials of the vectorized generators.
+means: the master equation is propagated exactly in a truncated Fock
+space, by matrix exponentials of its invariant diagonals, and the
+disentangled superoperator exponentials are checked against dense matrix
+exponentials of the vectorized generators and against rk45.
 
 The dressed atom never flips in the dispersive model, so the joint state
 is held as its four field blocks rho[a, b] = <a| rho |b>, an array of
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import gammaln
 
 from . import analytic, entanglement
 from .integrator import rk45
@@ -32,6 +32,22 @@ SERIES_TOL = 1e-12
 #: and the seed they are drawn from
 VERIFY_MATRICES = 3
 VERIFY_SEED = 1234
+#: Bytes of propagators `integrate` holds at once: it carries as many
+#: diagonals |n - m| through the samples in one pass as this admits, and
+#: at least MIN_DIAGONALS, since every pass yields a full N x N part per
+#: sample, whose projection would outweigh a thinner pass's propagation.
+PROPAGATOR_BYTES = 3 << 17
+MIN_DIAGONALS = 8
+#: Sample steps within this many ulps of the last sample time share a
+#: propagator (np.linspace steps differ in their last bits only).
+STEP_ULPS = 4
+#: Diagonal layout of `integrate`: block (a, b) and sign of k = m - n of each
+#: column, for class 0 (a = b) and class 1 (a != b).  rho_10 is held
+#: conjugated, so that it shares the propagator of rho_01.
+_BLOCK_A = np.array([[0, 0, 1, 1], [0, 0, 1, 1]])
+_BLOCK_B = np.array([[0, 0, 1, 1], [1, 1, 0, 0]])
+_SIGN = np.array([1, -1, 1, -1])
+_CONJ = np.array([[False] * 4, [False, False, True, True]])[:, None, None, :]
 
 
 class TruncationError(ValueError):
@@ -110,24 +126,25 @@ def number_op(N: int) -> np.ndarray:
     return np.diag(np.arange(float(N)))
 
 
-def coherent_vector(alpha: complex, cfg: FockConfig) -> np.ndarray:
-    """Truncated Fock expansion of |alpha>; errors out on excess norm loss."""
-    alpha = complex(alpha)
+def coherent_vector(alpha, cfg: FockConfig) -> np.ndarray:
+    """Truncated Fock expansion of |alpha>, Fock index last; alpha may be an
+    array.  Errors out when any alpha loses too much norm."""
+    alpha = np.asarray(alpha, dtype=complex)
     n = np.arange(cfg.dim)
-    if alpha == 0:
-        vec = np.zeros(cfg.dim, dtype=complex)
-        vec[0] = 1.0
-        return vec
+    r = np.abs(alpha)[..., None]
     # log-domain magnitudes to dodge overflow in alpha**n / sqrt(n!)
-    log_mag = -0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1.0)
-    phase = np.exp(1j * n * cmath.phase(alpha))
-    vec = np.exp(log_mag) * phase
-    norm_loss = 1.0 - float(np.sum(np.abs(vec) ** 2))
-    if norm_loss >= cfg.trunc_tol:
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(cfg.dim)])
+    log_mag = -0.5 * r**2 + n * np.log(np.where(r > 0, r, 1.0)) - 0.5 * log_fact
+    vec = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha)[..., None])
+    vec = np.where(r > 0, vec, n == 0)
+    norm_loss = 1.0 - np.sum(np.abs(vec) ** 2, axis=-1)
+    worst = np.unravel_index(np.argmax(norm_loss), norm_loss.shape)
+    if norm_loss[worst] >= cfg.trunc_tol:
         raise TruncationError(
-            f"coherent state alpha={alpha} loses {norm_loss:.3e} norm at "
-            f"nmax={cfg.nmax} (tol {cfg.trunc_tol:.3e})",
-            norm_loss,
+            f"coherent state alpha={complex(alpha[worst])} loses "
+            f"{norm_loss[worst]:.3e} norm at nmax={cfg.nmax} "
+            f"(tol {cfg.trunc_tol:.3e})",
+            float(norm_loss[worst]),
         )
     return vec
 
@@ -156,56 +173,142 @@ def _make_rhs(spec: SuperopSpec, N: int):
     return lambda _t, X: diag * X + spec.c_m * _lower(X)
 
 
-def integrate(Omega: float, kappa: float, rho0: np.ndarray, times,
-              tol: float = 1e-10):
-    """Yield the field blocks at each of `times`, starting from rho0 at t = 0.
+def _step_groups(times: np.ndarray):
+    """Step group of each sample and the length of each group.
 
-    Omega is the dispersive shift, rho0 the (2, 2, N, N) block array;
-    `times` must be non-decreasing and >= 0.  Each sample restarts rk45
-    from the previous one with the same initial step.
+    A sample's step runs from the previous sample (from t = 0 for the
+    first).  np.linspace steps differ only in their last bits, so steps
+    within STEP_ULPS ulps of times[-1] share one group, of their mean length.
+    """
+    steps = np.diff(times, prepend=0.0)
+    order = np.argsort(steps)
+    tol = STEP_ULPS * np.spacing(times[-1])
+    starts = np.diff(steps[order], prepend=-np.inf) > tol
+    group = np.empty(len(steps), dtype=int)
+    group[order] = np.cumsum(starts) - 1
+    return group, np.bincount(group, weights=steps) / np.bincount(group)
+
+
+def integrate(Omega: float, kappa: float, rho0: np.ndarray, times):
+    """Yield (i, part) pairs whose parts sum to the field blocks at times[i].
+
+    Omega is the dispersive shift, rho0 the (2, 2, N, N) block array at
+    t = 0; `times` must be non-decreasing and >= 0.  Every block generator
+    keeps the offset k = m - n, so each diagonal of rho_ab evolves on its
+    own, under d0 + B with d0 a scalar and B upper bidiagonal (diagonal
+    (c_r + c_l) j, superdiagonal c_m sqrt((n + 1)(m + 1))).  B depends only
+    on |k| and on whether a = b, and B of rho_10 is the conjugate of B of
+    rho_01, so a step of length h takes one expm per |k| and class.  The
+    diagonals run through all samples in chunks of |k| whose propagators
+    fit PROPAGATOR_BYTES, each chunk yielding one part per sample; up to
+    N of about 30 one chunk holds them all, and the samples come in order,
+    one part each.  Fock levels above the support of rho0 stay empty, since
+    photon loss only lowers n, and are not propagated.
     """
     times = np.asarray(times, dtype=float)
-    if times.size and (np.any(np.diff(times) < 0) or times[0] < 0):
+    if times.size == 0:
+        return
+    if np.any(np.diff(times) < 0) or times[0] < 0:
         raise ValueError("times must be non-decreasing and >= 0")
     N = rho0.shape[-1]
-    a, b = np.indices((2, 2, 1, 1), sparse=True)[:2]
-    rhs = _make_rhs(generator(Omega, kappa, a, b), N)
-    # |Omega| N is the largest level shift, max |v_a(n)|
-    h0 = 1.0 / (100.0 * (2.0 * kappa + abs(Omega) * N + 1e-30))
-    rho, t0 = rho0, 0.0
-    for t in times:
-        if t > t0:
-            rho = rk45(rhs, rho, t0, float(t), tol, h0=h0)
-        t0 = t
-        yield rho
+    support = np.flatnonzero(np.any(rho0 != 0, axis=(0, 1, 2))
+                             | np.any(rho0 != 0, axis=(0, 1, 3)))
+    n_eff = support[-1] + 1 if support.size else 1
+    group, lengths = _step_groups(times)
+    moving = np.flatnonzero(lengths > 0)
+    spec = generator(Omega, kappa, _BLOCK_A, _BLOCK_B)
+    c_m, c_r, c_l, c_s = (np.broadcast_to(c, _BLOCK_A.shape)[:, None, None, :]
+                          for c in (spec.c_m, spec.c_r, spec.c_l, spec.c_s))
+    # d0 per class and column: c_l |k| + c_s above the diagonal, c_r |k| + c_s
+    # below it; a conjugated column takes the conjugate phase
+    d0_slope = np.where(_SIGN > 0, c_l, c_r)
+    flat_rho0 = rho0.reshape(-1)
+    q0 = 0
+    while q0 < n_eff:
+        L = n_eff - q0
+        # an (L, L) propagator per |k|, class and moving step
+        per_q = 32 * L * L * len(moving)
+        width = max(MIN_DIAGONALS, PROPAGATOR_BYTES // max(per_q, 1))
+        q = np.arange(q0, min(n_eff, q0 + width))
+        q0 += len(q)
+        j = np.arange(L)
+        band = np.sqrt((j[:-1] + 1.0) * (j[:-1] + q[:, None] + 1.0))
+        props = {}
+        for g in moving:
+            h = lengths[g]
+            prop = np.empty((2, len(q), L, L), dtype=complex)
+            # B of each class from its first column, rho_00 or rho_01
+            for c, s in np.ndindex(prop.shape[:2]):
+                B = np.diag((c_r + c_l)[c, 0, 0, 0] * j)
+                B[j[:-1], j[1:]] = c_m[c, 0, 0, 0] * band[s]
+                prop[c, s] = expm(B * h)
+            phase = np.exp((d0_slope * q[:, None, None] + c_s) * h)
+            props[g] = prop, np.where(_CONJ, phase.conj(), phase)
+        # diagonal layout z[class, |k|, j, column]; column = block, sign of k
+        jj = j[:, None]
+        qq = q[:, None, None]
+        n = np.where(_SIGN > 0, jj, jj + qq)
+        m = np.where(_SIGN > 0, jj + qq, jj)
+        flat = ((2 * _BLOCK_A[:, None, None, :] + _BLOCK_B[:, None, None, :]) * N
+                + n) * N + m
+        valid = np.flatnonzero(np.broadcast_to(jj + qq < n_eff, flat.shape))
+        conj = np.broadcast_to(_CONJ, flat.shape).reshape(-1)[valid]
+        flat = flat.reshape(-1)[valid]
+        z = np.zeros((2, len(q), L, 4), dtype=complex)
+        z.reshape(-1)[valid] = flat_rho0[flat]
+        z = np.where(_CONJ, z.conj(), z)
+        for i, g in enumerate(group):
+            if g in props:
+                prop, phase = props[g]
+                np.multiply(phase, prop @ z, out=z)
+            values = z.reshape(-1)[valid]
+            np.conjugate(values, out=values, where=conj)
+            part = np.zeros(rho0.size, dtype=complex)
+            part[flat] = values
+            yield i, part.reshape(rho0.shape)
+
+
+def _branch_basis(alpha_plus, alpha_minus, cfg: FockConfig) -> np.ndarray:
+    """(..., 2, N) two-branch field basis: |alpha_plus> and the Gram-Schmidt
+    complement of |alpha_minus>, zero where the two branches coincide."""
+    up = coherent_vector(alpha_plus, cfg)
+    vm = coherent_vector(alpha_minus, cfg)
+    up = up / np.linalg.norm(up, axis=-1, keepdims=True)
+    tau = np.sum(up.conj() * vm, axis=-1, keepdims=True)
+    resid = vm - tau * up
+    rnorm = np.linalg.norm(resid, axis=-1, keepdims=True)
+    down = np.divide(resid, rnorm, out=np.zeros_like(resid),
+                     where=rnorm**2 >= 1e-15)
+    return np.stack([up, down], axis=-2)
 
 
 def oracle_series(p: ModelParams, d: DerivedParams, times: np.ndarray,
-                  nmax: int, tol: float = 1e-10):
-    """Lindblad-integrated observables of the model at the given times.
+                  nmax: int):
+    """Lindblad-propagated observables of the model at the given times.
 
-    Integrates the master equation from the product of the atomic state
-    (c0, c1) and the coherent field |alpha> in a Fock space truncated at
-    nmax, and projects each sampled state onto the two-branch basis of the
-    closed-form amplitudes alpha_pm(t).  `p` and `d` are a single point of
-    ModelParams and DerivedParams.  Returns arrays of concurrence, linear
+    Propagates the master equation exactly from the product of the atomic
+    state (c0, c1) and the coherent field |alpha> in a Fock space truncated
+    at nmax, and projects each sampled state onto the two-branch basis of
+    the closed-form amplitudes alpha_pm(t).  `p` and `d` are a single point
+    of ModelParams and DerivedParams.  Returns arrays of concurrence, linear
     entropy, photon number and trace error.
     """
     fock = FockConfig(nmax=nmax)
     times = np.asarray(times, dtype=float)
     rho0 = initial_blocks(p.c0, p.c1, coherent_vector(p.alpha, fock))
-    states = integrate(d.Omega_eff, p.kappa, rho0, times, tol)
     snap = analytic.evolve(p, d, times)
-    n = np.arange(float(fock.dim))
-    conc, entr, nbar, trace_err = [], [], [], []
-    for rho, a_plus, a_minus in zip(states, snap.alpha_plus, snap.alpha_minus):
-        rho4 = project_two_qubit(rho, a_plus, a_minus, fock)
-        conc.append(entanglement.wootters_concurrence(rho4))
-        entr.append(entanglement.linear_entropy_general(rho4))
-        pops = np.einsum("aann->an", rho).real
-        nbar.append(float(np.sum(pops @ n)))
-        trace_err.append(abs(float(np.sum(pops)) - 1.0))
-    return np.array(conc), np.array(entr), np.array(nbar), np.array(trace_err)
+    basis = _branch_basis(snap.alpha_plus, snap.alpha_minus, fock)
+    # proj[i, a, b, f, g] = <basis_f| rho_ab |basis_g> at times[i]
+    proj = np.zeros((len(times), 2, 2, 2, 2), dtype=complex)
+    pops = np.zeros((len(times), 2, fock.dim))
+    for i, part in integrate(d.Omega_eff, p.kappa, rho0, times):
+        proj[i] += basis[i].conj() @ part @ basis[i].T
+        pops[i] += np.einsum("aann->an", part).real
+    rho4 = proj.transpose(0, 3, 1, 4, 2).reshape(-1, 4, 4)
+    nbar = np.sum(pops @ np.arange(float(fock.dim)), axis=-1)
+    trace_err = np.abs(np.sum(pops, axis=(1, 2)) - 1.0)
+    return (entanglement.wootters_concurrence(rho4),
+            entanglement.linear_entropy_general(rho4), nbar, trace_err)
 
 
 def project_two_qubit(rho: np.ndarray, alpha_plus: complex, alpha_minus: complex,
@@ -217,17 +320,7 @@ def project_two_qubit(rho: np.ndarray, alpha_plus: complex, alpha_minus: complex
     embedding (row = 2*field + atom).  When the two branches coincide the
     |down> row/column is identically zero.
     """
-    up = coherent_vector(alpha_plus, cfg)
-    vm = coherent_vector(alpha_minus, cfg)
-    up = up / np.linalg.norm(up)
-    tau = np.vdot(up, vm)
-    resid = vm - tau * up
-    rnorm = np.linalg.norm(resid)
-    if rnorm**2 < 1e-15:
-        down = np.zeros_like(up)
-    else:
-        down = resid / rnorm
-    basis = np.array([up, down])
+    basis = _branch_basis(alpha_plus, alpha_minus, cfg)
     return np.einsum("fn,abnm,gm->fagb", basis.conj(), rho, basis).reshape(4, 4)
 
 

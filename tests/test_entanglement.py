@@ -123,3 +123,42 @@ class TestLinearEntropy:
         rho /= np.trace(rho).real
         s = linear_entropy_general(rho)
         assert 0.0 <= s <= 1.0 - 1.0 / dim + 1e-12
+
+
+class TestStacks:
+    """A stack (..., d, d) of density matrices, matrix by matrix."""
+
+    def random_stack(self, rng, shape, dim=4):
+        m = rng.normal(size=shape + (dim, dim)) \
+            + 1j * rng.normal(size=shape + (dim, dim))
+        rho = m @ np.swapaxes(m, -1, -2).conj()
+        return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None].real
+
+    def test_matches_single_matrices(self):
+        rng = np.random.default_rng(41)
+        rho = self.random_stack(rng, (3, 5))
+        # rank-1 and Bell states, where concurrence is largest
+        rho[0, 0] = bell()
+        v = random_state(rng, 4)
+        rho[1, 2] = np.outer(v, v.conj())
+        conc = wootters_concurrence(rho)
+        entr = linear_entropy_general(rho)
+        assert conc.shape == entr.shape == (3, 5)
+        for idx in np.ndindex(3, 5):
+            assert abs(conc[idx] - wootters_concurrence(rho[idx])) < 1e-14
+            assert abs(entr[idx] - linear_entropy_general(rho[idx])) < 1e-14
+
+    @pytest.mark.parametrize("fault", ["trace", "hermitian", "negative"])
+    def test_one_invalid_matrix_rejects_the_stack(self, fault):
+        rng = np.random.default_rng(43)
+        rho = self.random_stack(rng, (6,))
+        if fault == "trace":
+            rho[4] *= 1.01
+        elif fault == "hermitian":
+            rho[4, 0, 1] += 1e-3
+        else:
+            rho[4] = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(InvalidDensityMatrix):
+            wootters_concurrence(rho)
+        with pytest.raises(InvalidDensityMatrix):
+            linear_entropy_general(rho)

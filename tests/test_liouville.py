@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 from drivenjc import analytic as an
 from drivenjc import liouville as lv
+from drivenjc.entanglement import linear_entropy_general, wootters_concurrence
 from drivenjc.integrator import StepSizeUnderflow, rk45
 from drivenjc.model import ModelParams, derive_params
 
@@ -58,6 +59,21 @@ class TestCoherentVector:
             lv.coherent_vector(3.0, lv.FockConfig(nmax=4, trunc_tol=1e-3))
         assert exc.value.norm_loss > 1e-3
 
+    def test_array_of_amplitudes(self):
+        cfg = lv.FockConfig(nmax=15)
+        alphas = np.array([[0.0, 0.7 - 0.4j], [1.2j, -0.3]])
+        vecs = lv.coherent_vector(alphas, cfg)
+        assert vecs.shape == (2, 2, 16)
+        for idx in np.ndindex(2, 2):
+            np.testing.assert_allclose(vecs[idx],
+                                       lv.coherent_vector(alphas[idx], cfg),
+                                       rtol=0, atol=1e-16)
+        # one amplitude beyond the truncation fails the whole array
+        with pytest.raises(lv.TruncationError) as exc:
+            lv.coherent_vector([0.5, 3.0, 0.1],
+                               lv.FockConfig(nmax=4, trunc_tol=1e-3))
+        assert "alpha=(3+0j)" in str(exc.value)
+
 
 #: atom indices a, b of the field blocks rho[a, b], broadcast over (2, 2, N, N)
 BLOCKS = np.indices((2, 2, 1, 1), sparse=True)[:2]
@@ -75,7 +91,7 @@ def to_joint(blocks):
 
 
 def lindblad_rhs(Omega, rho, kappa):
-    """The right-hand side `integrate` hands to rk45, applied to one state."""
+    """The Lindblad right-hand side of verify's rk45 leg, on all four blocks."""
     spec = lv.generator(Omega, kappa, *BLOCKS)
     return lv._make_rhs(spec, rho.shape[-1])(0.0, rho)
 
@@ -168,24 +184,32 @@ def initial_state(alpha, cfg, c0=1 / math.sqrt(2), c1=1 / math.sqrt(2)):
     return lv.initial_blocks(c0, c1, lv.coherent_vector(alpha, cfg))
 
 
-def state_at(Omega, rho0, kappa, t, tol):
-    """Field blocks at time t, integrated from rho0 at t = 0."""
-    rho, = lv.integrate(Omega, kappa, rho0, [t], tol=tol)
-    return rho
+def states_at(Omega, rho0, kappa, times):
+    """Field blocks at each of `times`, the sum of the parts `integrate`
+    yields for each sample."""
+    out = np.zeros((len(times),) + rho0.shape, dtype=complex)
+    for i, part in lv.integrate(Omega, kappa, rho0, times):
+        out[i] += part
+    return out
+
+
+def state_at(Omega, rho0, kappa, t):
+    """Field blocks at time t, propagated from rho0 at t = 0."""
+    return states_at(Omega, rho0, kappa, [t])[0]
 
 
 class TestIntegrate:
     def test_diagonal_hamiltonian_preserves_populations(self):
         cfg = lv.FockConfig(nmax=14)
         st0 = initial_state(1.0, cfg)
-        st = state_at(-1e-3, st0, 0.0, 200.0, tol=1e-10)
+        st = state_at(-1e-3, st0, 0.0, 200.0)
         np.testing.assert_allclose(np.diag(to_joint(st)).real,
                                    np.diag(to_joint(st0)).real, atol=1e-9)
 
     def test_pure_decay_keeps_field_coherent(self):
         cfg = lv.FockConfig(nmax=14)
         k, t, alpha = 2e-3, 150.0, 1.0
-        st = state_at(0.0, initial_state(alpha, cfg), k, t, tol=1e-10)
+        st = state_at(0.0, initial_state(alpha, cfg), k, t)
         nfull = np.kron(np.eye(2), lv.number_op(cfg.dim))
         nbar = np.trace(to_joint(st) @ nfull).real
         assert nbar == pytest.approx(alpha**2 * math.exp(-2 * k * t), abs=1e-8)
@@ -196,11 +220,35 @@ class TestIntegrate:
 
     def test_trace_and_hermiticity_preserved(self):
         cfg = lv.FockConfig(nmax=14)
-        rho = to_joint(state_at(-1e-3, initial_state(1.0, cfg), 1e-3, 300.0,
-                                tol=1e-10))
+        rho = to_joint(state_at(-1e-3, initial_state(1.0, cfg), 1e-3, 300.0))
         assert abs(np.trace(rho) - 1.0) < 1e-8
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
         assert np.linalg.eigvalsh(rho).min() > -1e-8
+
+    @pytest.mark.parametrize("budget, empty_top", [
+        (lv.PROPAGATOR_BYTES, 0),   # every diagonal in one pass
+        (1, 0),                     # one |n - m| per pass
+        (lv.PROPAGATOR_BYTES, 2),   # top Fock levels empty, left out
+    ])
+    def test_matches_dense_propagator(self, budget, empty_top, monkeypatch):
+        monkeypatch.setattr(lv, "PROPAGATOR_BYTES", budget)
+        N = 7
+        rng = np.random.default_rng(29)
+        m = rng.normal(size=(2 * N, 2 * N)) + 1j * rng.normal(size=(2 * N, 2 * N))
+        rho0 = to_blocks(m + m.conj().T)
+        rho0[..., N - empty_top:, :] = 0.0
+        rho0[..., N - empty_top:] = 0.0
+        Om, k = rng.normal(), rng.uniform(0.05, 0.5)
+        times = [0.0, 0.3, 1.7, 1.7, 4.0, 9.5]
+        got = states_at(Om, rho0, k, times)
+        cfg = lv.FockConfig(nmax=N - 1)
+        for a in range(2):
+            for b in range(2):
+                G = lv.dense_generator(lv.generator(Om, k, a, b), cfg)
+                for i, t in enumerate(times):
+                    want = (expm(G * t) @ rho0[a, b].ravel()).reshape(N, N)
+                    np.testing.assert_allclose(got[i, a, b], want,
+                                               rtol=0, atol=1e-13)
 
     def test_step_size_underflow(self):
         def bad_rhs(t, y):
@@ -358,11 +406,43 @@ class TestTruncationConvergence:
         results = []
         for nmax, tol in [(20, 1e-8), (25, 5e-9)]:
             cfg = lv.FockConfig(nmax=nmax, trunc_tol=tol)
-            st = state_at(d.Omega_eff, initial_state(1.0, cfg), p.kappa, 100.0,
-                          tol=1e-11)
+            st = state_at(d.Omega_eff, initial_state(1.0, cfg), p.kappa, 100.0)
             nfull = np.kron(np.eye(2), lv.number_op(cfg.dim))
             results.append(np.trace(to_joint(st) @ nfull).real)
         assert abs(results[0] - results[1]) < 1e-8
+
+
+class TestOracleSeries:
+    def test_matches_scalar_projection(self):
+        # the batched basis, projection and Wootters against
+        # project_two_qubit and the scalar concurrence, sample by sample
+        p = ModelParams(omega=2.0, omega0=1.9, omega_c=0.2, g=0.01, lam=0.2,
+                        kappa=2e-3, alpha=1.3 - 0.4j, c0=0.6, c1=0.8)
+        d = derive_params(p)
+        cfg = lv.FockConfig(nmax=24)
+        times = np.linspace(0.0, 200.0, 9)
+        conc, entr, nbar, terr = lv.oracle_series(p, d, times, cfg.nmax)
+        states = states_at(d.Omega_eff, initial_state(p.alpha, cfg, p.c0, p.c1),
+                           p.kappa, times)
+        s = an.evolve(p, d, times)
+        n = np.arange(float(cfg.dim))
+        for i, st in enumerate(states):
+            rho4 = lv.project_two_qubit(st, s.alpha_plus[i], s.alpha_minus[i], cfg)
+            assert abs(conc[i] - wootters_concurrence(rho4)) < 1e-14
+            assert abs(entr[i] - linear_entropy_general(rho4)) < 1e-14
+            pops = np.einsum("aann->n", st).real
+            assert abs(nbar[i] - pops @ n) < 1e-14
+            assert abs(terr[i] - abs(pops.sum() - 1.0)) < 1e-14
+
+    def test_concurrence_under_strong_decay(self):
+        # the rk45 oracle was 4.2e-7 off here, 42% of verify's old 1e-6 gate
+        p = ModelParams(omega=2.0, omega0=1.9, omega_c=0.5, g=0.01, lam=0.5,
+                        kappa=0.05, alpha=2.5)
+        d = derive_params(p)
+        times = np.linspace(0.0, 300.0, 16)
+        conc, _, _, _ = lv.oracle_series(p, d, times, lv.default_nmax(p.alpha))
+        closed = an.concurrence_analytic(an.evolve(p, d, times))
+        assert np.max(np.abs(conc - closed)) < 1e-8
 
 
 def test_project_two_qubit_matches_embedding():
@@ -370,8 +450,7 @@ def test_project_two_qubit_matches_embedding():
                     kappa=1e-3, alpha=1.0)
     d = derive_params(p)
     cfg = lv.FockConfig(nmax=20)
-    st = state_at(d.Omega_eff, initial_state(1.0, cfg), p.kappa, 80.0,
-                  tol=1e-10)
+    st = state_at(d.Omega_eff, initial_state(1.0, cfg), p.kappa, 80.0)
     s = an.evolve(p, d, 80.0)
     got = lv.project_two_qubit(st, s.alpha_plus, s.alpha_minus, cfg)
     np.testing.assert_allclose(got, an.two_qubit_density(s), atol=1e-7)
