@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -397,8 +398,26 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: A negative number, which argparse reads as a flag when it has an exponent.
+_NEGATIVE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with `--flag -1e-3` written `--flag=-1e-3`, so that argparse takes
+    every negative number after a flag as its value."""
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _NEGATIVE.match(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = make_parser().parse_args(_attach_negative_values(argv))
     try:
         with np.errstate(all="ignore"):
             return COMMANDS[args.command][0](args)

@@ -162,6 +162,15 @@ class TestInputContract:
         assert captured.out == ""
         assert str(liouville.NMAX_LIMIT) in captured.err
 
+    @pytest.mark.parametrize("value, code", [
+        ("-1e-3", 0), ("-8.090525902826329e-05", 0), ("-.5", 0), ("-inf", 2)])
+    def test_negative_value_after_flag(self, value, code, capsys):
+        # argparse alone reads "-1e-3" after a flag as an unknown flag and
+        # raises SystemExit
+        assert main(["params", "--omega-c", value]) == code
+        assert main(["timeseries", "--alpha-im", value, "--steps", "2"]) == code
+        capsys.readouterr()
+
     def test_closed_forms_need_no_fock_space(self, capsys):
         assert main(["timeseries", "--alpha-re", "100"]) == 0
         assert capsys.readouterr().out.count("\n") > 600
