@@ -20,12 +20,13 @@ def _check_density(rho: np.ndarray, trace_tol: float = 1e-6,
     rho = np.asarray(rho)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise InvalidDensityMatrix(f"expected square matrices, got {rho.shape}")
-    if np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj())) > trace_tol:
+    asymmetry = np.abs(rho - np.swapaxes(rho, -1, -2).conj())
+    if np.max(asymmetry, initial=0.0) > trace_tol:
         raise InvalidDensityMatrix("matrix is not Hermitian")
-    dev = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))
+    dev = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0), initial=0.0)
     if dev > trace_tol:
         raise InvalidDensityMatrix(f"trace deviates from 1 by {dev:.3e}")
-    lowest = np.linalg.eigvalsh(rho).min()
+    lowest = np.linalg.eigvalsh(rho).min(initial=0.0)
     if lowest < -eig_tol:
         raise InvalidDensityMatrix(f"negative eigenvalue {lowest:.3e}")
 

@@ -33,11 +33,10 @@ SERIES_TOL = 1e-12
 VERIFY_MATRICES = 3
 VERIFY_SEED = 1234
 #: Bytes of propagators `integrate` holds at once: it carries as many
-#: diagonals |n - m| through the samples in one pass as this admits, and
-#: at least MIN_DIAGONALS, since every pass yields a full N x N part per
-#: sample, whose projection would outweigh a thinner pass's propagation.
+#: diagonals |n - m| through the samples in one pass as this admits (at
+#: least one).  Kept small: at nmax 20-40 the propagators would otherwise
+#: be the largest arrays of an oracle run.
 PROPAGATOR_BYTES = 3 << 17
-MIN_DIAGONALS = 8
 #: Sample steps within this many ulps of the last sample time share a
 #: propagator (np.linspace steps differ in their last bits only).
 STEP_ULPS = 4
@@ -138,8 +137,8 @@ def coherent_vector(alpha, cfg: FockConfig) -> np.ndarray:
     vec = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha)[..., None])
     vec = np.where(r > 0, vec, n == 0)
     norm_loss = 1.0 - np.sum(np.abs(vec) ** 2, axis=-1)
-    worst = np.unravel_index(np.argmax(norm_loss), norm_loss.shape)
-    if norm_loss[worst] >= cfg.trunc_tol:
+    if np.any(norm_loss >= cfg.trunc_tol):
+        worst = np.unravel_index(np.argmax(norm_loss), norm_loss.shape)
         raise TruncationError(
             f"coherent state alpha={complex(alpha[worst])} loses "
             f"{norm_loss[worst]:.3e} norm at nmax={cfg.nmax} "
@@ -200,10 +199,11 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, times):
     on |k| and on whether a = b, and B of rho_10 is the conjugate of B of
     rho_01, so a step of length h takes one expm per |k| and class.  The
     diagonals run through all samples in chunks of |k| whose propagators
-    fit PROPAGATOR_BYTES, each chunk yielding one part per sample; up to
-    N of about 30 one chunk holds them all, and the samples come in order,
-    one part each.  Fock levels above the support of rho0 stay empty, since
-    photon loss only lowers n, and are not propagated.
+    fit PROPAGATOR_BYTES, each chunk yielding one part per sample; for
+    evenly spaced samples one chunk holds them all up to N = 23, and the
+    samples come in order, one part each.  Fock levels above the support
+    of rho0 stay empty, since photon loss only lowers n, and are not
+    propagated.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
@@ -222,14 +222,12 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, times):
     # d0 per class and column: c_l |k| + c_s above the diagonal, c_r |k| + c_s
     # below it; a conjugated column takes the conjugate phase
     d0_slope = np.where(_SIGN > 0, c_l, c_r)
-    flat_rho0 = rho0.reshape(-1)
     q0 = 0
     while q0 < n_eff:
         L = n_eff - q0
         # an (L, L) propagator per |k|, class and moving step
-        per_q = 32 * L * L * len(moving)
-        width = max(MIN_DIAGONALS, PROPAGATOR_BYTES // max(per_q, 1))
-        q = np.arange(q0, min(n_eff, q0 + width))
+        width = PROPAGATOR_BYTES // max(32 * L * L * len(moving), 1)
+        q = np.arange(q0, min(n_eff, q0 + max(width, 1)))
         q0 += len(q)
         j = np.arange(L)
         band = np.sqrt((j[:-1] + 1.0) * (j[:-1] + q[:, None] + 1.0))
@@ -255,7 +253,7 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, times):
         conj = np.broadcast_to(_CONJ, flat.shape).reshape(-1)[valid]
         flat = flat.reshape(-1)[valid]
         z = np.zeros((2, len(q), L, 4), dtype=complex)
-        z.reshape(-1)[valid] = flat_rho0[flat]
+        z.reshape(-1)[valid] = rho0.reshape(-1)[flat]
         z = np.where(_CONJ, z.conj(), z)
         for i, g in enumerate(group):
             if g in props:

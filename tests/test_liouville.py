@@ -434,6 +434,12 @@ class TestOracleSeries:
             assert abs(nbar[i] - pops @ n) < 1e-14
             assert abs(terr[i] - abs(pops.sum() - 1.0)) < 1e-14
 
+    def test_no_samples(self):
+        p = ModelParams(omega=2.0, omega0=1.9, omega_c=0.0, g=0.01, lam=0.0,
+                        kappa=1e-3, alpha=1.0)
+        out = lv.oracle_series(p, derive_params(p), np.array([]), 20)
+        assert [x.shape for x in out] == [(0,)] * 4
+
     def test_concurrence_under_strong_decay(self):
         # the rk45 oracle was 4.2e-7 off here, 42% of verify's old 1e-6 gate
         p = ModelParams(omega=2.0, omega0=1.9, omega_c=0.5, g=0.01, lam=0.5,
