@@ -187,7 +187,8 @@ _FLOATS = [name for name, kind, *_ in OPTIONS if kind is float]
            for name in _FLOATS}))
 def test_any_float_input_gives_finite_output_or_exit_code(command, steps, values):
     argv = [command, "--steps", str(steps)]
-    # --name=value, since argparse reads "-1e300" after a flag as a flag
+    # the attached form --name=value; test_negative_value_after_flag covers
+    # a negative value as its own token
     argv += [f"--{name.replace('_', '-')}={text}" for name, text in values.items()]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
