@@ -136,6 +136,7 @@ class TestInputContract:
         (["timeseries", "--kappa", "nan"], 2),
         (["timeseries", "--c0-re", "nan"], 2),
         (["timeseries", "--alpha-re", "inf"], 2),
+        (["timeseries", "--oracle", "--nmax", "0"], 2),
         (["sweep2d", "--g", "0", "--axis1", "lambda:0:1",
           "--axis2", "kappa:0:1e-3"], 2),
         (["sweep2d", "--axis1", "lambda:0:nan", "--axis2", "kappa:0:1e-3"], 2),
