@@ -9,6 +9,7 @@ default.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -165,8 +166,16 @@ def _require_finite(values, degenerate=False):
 
 
 def _write_csv(output, meta: list[str], header: list[str], rows) -> None:
+    """Write metadata, header and `rows` (2-D) with every cell as `%.17g`.
+
+    One template formats the whole table in a single `%` operation; its
+    bytes equal per-cell `format(v, ".17g")`, which shares the conversion.
+    """
     lines = [*meta, ",".join(header)]
-    lines += [",".join(f"{v:.17g}" for v in row) for row in rows.tolist()]
+    nrows, ncol = rows.shape
+    if nrows:
+        template = "\n".join([",".join(["%.17g"] * ncol)] * nrows)
+        lines.append(template % tuple(rows.ravel().tolist()))
     text = "\n".join(lines) + "\n"
     if output is None:
         sys.stdout.write(text)
@@ -192,7 +201,7 @@ def _grid(cfg: dict, axes, counts, observable: str, columns: dict, t_eval):
 
     Each axis (header, low, high) takes `counts` points along one array
     dimension, and each column its option overrides along the last one.
-    Degenerate points give NaN cells.
+    Degenerate points give NaN cells, counted in a warning on stderr.
     """
     ndim = len(axes) + 1
     points = [np.linspace(lo, hi, n) for (_, lo, hi), n in zip(axes, counts)]
@@ -206,7 +215,12 @@ def _grid(cfg: dict, axes, counts, observable: str, columns: dict, t_eval):
     d = model.derive_params(p)
     shape = [*counts, len(cols)]
     value = np.broadcast_to(_observables(p, d, t)[observable], shape)
-    _require_finite(value, np.broadcast_to(d.degenerate, shape))
+    degenerate = np.broadcast_to(d.degenerate, shape)
+    _require_finite(value, degenerate)
+    if np.any(degenerate):
+        print(f"warning: {np.count_nonzero(degenerate)} of {value.size} cells "
+              f"degenerate (|delta2| < {model.EPS_DIV:g}), written as NaN",
+              file=sys.stderr)
     coords = [x.ravel() for x in np.meshgrid(*points, indexing="ij")]
     rows = np.column_stack([*coords, value.reshape(-1, len(cols))])
     return [name for name, _, _ in axes] + [observable + s for s in columns], rows
@@ -371,7 +385,13 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by `main`.
+
+    `parse_args` returns a fresh Namespace on every call, so no value
+    carries from one call to the next; callers must not modify the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="drivenjc",
         description="Dissipative dynamics and entanglement of a classically "

@@ -1,11 +1,14 @@
 import contextlib
 import io
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drivenjc import liouville
+from drivenjc import cli, liouville
 from drivenjc.cli import OPTIONS, main
 
 
@@ -178,33 +181,86 @@ class TestInputContract:
 
 
 _FLOATS = [name for name, kind, *_ in OPTIONS if kind is float]
+_VALUES = ["0", "1e300", "-1e300", "inf", "-inf", "nan"]
+# name:low:high with the bounds in order (test_unordered_bounds_exit_2 covers
+# the other order); 1.9 as the low end of omega hits delta2 = 0
+_AXIS = st.tuples(
+    st.sampled_from([name for name, _, _, sweepable, _ in OPTIONS if sweepable]),
+    st.lists(st.sampled_from(["0", "1e-3", "0.5", "1.9", "1e300", "-1e300",
+                              "nan"]),
+             min_size=2, max_size=2).map(lambda b: sorted(b, key=float)),
+).map(lambda a: ":".join([a[0], *a[1]]))
+_DEGENERATE = re.compile(r"warning: (\d+) of \d+ cells degenerate")
+
+
+def _flags(values):
+    """Option flags in the attached form --name=value;
+    test_negative_value_after_flag covers a negative value as its own token."""
+    return [f"--{name.replace('_', '-')}={text}" for name, text in values.items()]
+
+
+def _check_exit_code_and_cells(argv, steps):
+    """Run `argv` (figures into a temporary directory): the exit code is 0,
+    2 or 3, and after 0 every output cell is finite except the NaN cells
+    the stderr warning counts, with `steps` rows in every time series."""
+    command = argv[0]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir:
+        if command.startswith("fig"):
+            argv = [*argv, f"--output={outdir}"]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        texts = [out.getvalue()] + [p.read_text()
+                                    for p in sorted(Path(outdir).iterdir())]
+    assert code in (0, 2, 3)
+    if code != 0:
+        return
+    cells = []
+    for text in filter(None, texts):
+        lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+        if command == "params":
+            cells += [ln.rpartition("=")[2] for ln in lines]
+            continue
+        cells += [c for ln in lines[1:] for c in ln.split(",")]
+        if command not in ("sweep2d", "fig1"):
+            assert len(lines) == steps + 1
+    cells = np.array(cells, dtype=float)
+    reported = sum(map(int, _DEGENERATE.findall(err.getvalue())))
+    assert cells.size
+    assert np.count_nonzero(~np.isfinite(cells)) == reported
+    assert np.count_nonzero(np.isnan(cells)) == reported
 
 
 @settings(max_examples=150, deadline=None)
 @given(command=st.sampled_from(["params", "timeseries"]),
        steps=st.integers(2, 20),
        values=st.fixed_dictionaries({}, optional={
-           name: st.sampled_from(["0", "1e300", "-1e300", "inf", "-inf", "nan"])
-           for name in _FLOATS}))
+           name: st.sampled_from(_VALUES) for name in _FLOATS}))
 def test_any_float_input_gives_finite_output_or_exit_code(command, steps, values):
-    argv = [command, "--steps", str(steps)]
-    # the attached form --name=value; test_negative_value_after_flag covers
-    # a negative value as its own token
-    argv += [f"--{name.replace('_', '-')}={text}" for name, text in values.items()]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    assert code in (0, 2, 3)
-    if code != 0:
-        return
-    lines = [ln for ln in out.getvalue().splitlines() if not ln.startswith("#")]
-    if command == "params":
-        cells = [ln.rpartition("=")[2] for ln in lines]
-    else:
-        cells = [c for ln in lines[1:] for c in ln.split(",")]
-        assert len(lines) == steps + 1
-    assert cells and np.all(np.isfinite(np.array(cells, dtype=float)))
+    _check_exit_code_and_cells([command, "--steps", str(steps), *_flags(values)],
+                               steps)
+
+
+# verify is left out of the properties: one call costs 0.4 s or more.  At
+# most two options are set, so that most draws get past them to the grid.
+_SOME_VALUES = st.dictionaries(st.sampled_from(_FLOATS),
+                               st.sampled_from(_VALUES), max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_SOME_VALUES, axis1=_AXIS, axis2=_AXIS)
+def test_sweep2d_gives_finite_output_or_exit_code(values, axis1, axis2):
+    _check_exit_code_and_cells(["sweep2d", "--grid=3x2", f"--axis1={axis1}",
+                                f"--axis2={axis2}", *_flags(values)], None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["fig1", "fig2", "fig3", "fig4"]),
+       steps=st.integers(2, 20), values=_SOME_VALUES)
+def test_figures_give_finite_output_or_exit_code(command, steps, values):
+    grid = ["--grid=3x2"] if command == "fig1" else []
+    _check_exit_code_and_cells(
+        [command, f"--steps={steps}", *grid, *_flags(values)], steps)
 
 
 class TestSweep2d:
@@ -243,6 +299,22 @@ class TestSweep2d:
         assert main(["sweep2d", "--axis1", "lambda:1:0",
                      "--axis2", "kappa:0:1"]) == 2
 
+    def test_degenerate_cells_reported_on_stderr(self, capsys):
+        # the sweep2d_degenerate golden case: lambda = 0 at omega = 1.9
+        assert main(["sweep2d", "--omega", "1.9", "--axis1", "lambda:0:0.5",
+                     "--axis2", "kappa:0:5e-3", "--grid", "6x3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("nan") == 3
+        assert captured.err == ("warning: 3 of 18 cells degenerate "
+                                "(|delta2| < 1e-12), written as NaN\n")
+
+    def test_regular_sweep_silent_on_stderr(self, capsys):
+        assert main(["sweep2d", "--axis1", "lambda:0:1",
+                     "--axis2", "kappa:0:5e-3", "--grid", "7x5"]) == 0
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out
+        assert captured.err == ""
+
 
 class TestFigures:
     def test_fig1_grid_dimensions(self, tmp_path):
@@ -280,6 +352,92 @@ class TestFigures:
         assert any("linear entropy" in m for m in meta)
         assert np.all(rows[:, 1:] >= 0.0)
         assert np.all(rows[:, 1:] <= 0.5)
+
+
+def _per_value_csv(meta, header, rows):
+    """The per-value writer `_write_csv` replaced: the reference for its bytes."""
+    return "\n".join([*meta, ",".join(header), *(
+        ",".join(f"{v:.17g}" for v in row) for row in rows.tolist())]) + "\n"
+
+
+_SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, 1e16, 0.1,
+            1.0, -7.0, 2.0 ** 53, 1e22, 0.30000000000000004]
+
+
+class TestCsvBytes:
+    META = ["# note: x", "# kappa = 0.001"]
+
+    def _check(self, rows, to_file, tmp_path, capsys):
+        header = [f"c{j}" for j in range(rows.shape[1])]
+        want = _per_value_csv(self.META, header, rows)
+        out = tmp_path / "out.csv" if to_file else None
+        cli._write_csv(out, self.META, header, rows)
+        if to_file:
+            assert out.read_bytes() == want.encode()
+        else:
+            assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (1, 6), (61, 1),
+                                       (10201, 3)])
+    def test_matches_per_value_format(self, shape, to_file, tmp_path, capsys):
+        rng = np.random.default_rng(shape[0] * 7 + shape[1])
+        size = shape[0] * shape[1]
+        values = np.concatenate([
+            rng.standard_normal(size) * 10.0 ** rng.integers(-320, 307, size),
+            rng.integers(-10**6, 10**6, size).astype(float),
+            rng.random(size)])
+        rng.shuffle(values)
+        values = values[:size]
+        values[:len(_SPECIAL)] = _SPECIAL[:size]
+        self._check(values.reshape(shape), to_file, tmp_path, capsys)
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize("value", _SPECIAL)
+    def test_special_value_alone(self, value, to_file, tmp_path, capsys):
+        self._check(np.array([[value]]), to_file, tmp_path, capsys)
+
+
+class TestParserReuse:
+    def test_calls_match_a_fresh_parser(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("kappa = 2e-3\nlambda = 0.3\n")
+        sweep = ["sweep2d", "--axis1", "lambda:0:1", "--axis2", "kappa:0:5e-3"]
+        short = ["--steps", "5", "--t-end", "60"]
+        calls = [
+            ["timeseries", "--oracle", *short],
+            ["timeseries", *short],
+            ["params", "--config", str(cfgfile)],
+            ["params"],
+            [*sweep, "--grid", "4x3", "--t-eval", "50"],
+            [*sweep, "--grid", "4x3"],
+            ["fig1", "--grid", "5x4", "--output", str(tmp_path / "figs")],
+            sweep,
+            ["timeseries", "--no-such-flag"],
+            ["timeseries", *short],
+        ]
+
+        def run(argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = f"SystemExit({exc.code})"
+            return code, out.getvalue()
+
+        assert cli.make_parser() is cli.make_parser()
+        reused = [run(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli.make_parser.cache_clear()
+            fresh.append(run(argv))
+        assert reused == fresh
+        assert reused[8] == ("SystemExit(2)", "")
+        assert "concurrence_numeric" not in reused[1][1]
+        assert "# grid = 101x101" in reused[7][1]
 
 
 class TestVerify:
