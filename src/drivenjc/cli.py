@@ -217,8 +217,9 @@ def _grid(cfg: dict, axes, counts, observable: str, columns: dict, t_eval):
     value = np.broadcast_to(_observables(p, d, t)[observable], shape)
     degenerate = np.broadcast_to(d.degenerate, shape)
     _require_finite(value, degenerate)
-    if np.any(degenerate):
-        print(f"warning: {np.count_nonzero(degenerate)} of {value.size} cells "
+    ndegenerate = np.count_nonzero(degenerate)
+    if ndegenerate:
+        print(f"warning: {ndegenerate} of {value.size} cells "
               f"degenerate (|delta2| < {model.EPS_DIV:g}), written as NaN",
               file=sys.stderr)
     coords = [x.ravel() for x in np.meshgrid(*points, indexing="ij")]
