@@ -366,18 +366,6 @@ _SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
 
 
 class TestCsvBytes:
-    META = ["# note: x", "# kappa = 0.001"]
-
-    def _check(self, rows, to_file, tmp_path, capsys):
-        header = [f"c{j}" for j in range(rows.shape[1])]
-        want = _per_value_csv(self.META, header, rows)
-        out = tmp_path / "out.csv" if to_file else None
-        cli._write_csv(out, self.META, header, rows)
-        if to_file:
-            assert out.read_bytes() == want.encode()
-        else:
-            assert capsys.readouterr().out == want
-
     @pytest.mark.parametrize("to_file", [False, True])
     @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (1, 6), (61, 1),
                                        (10201, 3)])
@@ -391,12 +379,16 @@ class TestCsvBytes:
         rng.shuffle(values)
         values = values[:size]
         values[:len(_SPECIAL)] = _SPECIAL[:size]
-        self._check(values.reshape(shape), to_file, tmp_path, capsys)
-
-    @pytest.mark.parametrize("to_file", [False, True])
-    @pytest.mark.parametrize("value", _SPECIAL)
-    def test_special_value_alone(self, value, to_file, tmp_path, capsys):
-        self._check(np.array([[value]]), to_file, tmp_path, capsys)
+        rows = values.reshape(shape)
+        meta = ["# note: x", "# kappa = 0.001"]
+        header = [f"c{j}" for j in range(shape[1])]
+        want = _per_value_csv(meta, header, rows)
+        out = tmp_path / "out.csv" if to_file else None
+        cli._write_csv(out, meta, header, rows)
+        if to_file:
+            assert out.read_bytes() == want.encode()
+        else:
+            assert capsys.readouterr().out == want
 
 
 class TestParserReuse:
