@@ -143,6 +143,12 @@ def _nmax(cfg: dict) -> int:
     return liouville.default_nmax(complex(cfg["alpha_re"], cfg["alpha_im"]))
 
 
+def _steps(cfg: dict) -> int:
+    if cfg["steps"] < 2:
+        raise ValueError("steps must be >= 2")
+    return cfg["steps"]
+
+
 def _fmt(x) -> str:
     if isinstance(x, str):
         return x
@@ -274,11 +280,9 @@ def cmd_params(args) -> int:
 
 def cmd_timeseries(args) -> int:
     cfg = build_config(args)
-    if cfg["steps"] < 2:
-        raise ValueError("steps must be >= 2")
     p = model_params(cfg)
     d = model.derive_params(p)
-    times = np.linspace(cfg["t_start"], cfg["t_end"], cfg["steps"])
+    times = np.linspace(cfg["t_start"], cfg["t_end"], _steps(cfg))
     columns = {"t": times, **_observables(p, d, times)}
     if args.oracle:
         conc, _, _, terr = liouville.oracle_series(p, d, times, _nmax(cfg))
@@ -308,12 +312,11 @@ def cmd_sweep2d(args) -> int:
 
 def cmd_fig(args) -> int:
     outdir = args.output if args.output else "."
-    os.makedirs(outdir, exist_ok=True)
     fixed, files = FIGURES[args.command]
     cfg = {**build_config(args), **fixed}
     for name, axes, observable, columns in files:
         if axes[0][0] == "t":
-            counts, t_eval, extra = [cfg["steps"]], None, {}
+            counts, t_eval, extra = [_steps(cfg)], None, {}
         else:
             counts, t_eval = _parse_grid(args.grid), 1.0 / cfg["g"]
             extra = dict(grid="{}x{}".format(*counts), t_eval=t_eval)
@@ -321,6 +324,7 @@ def cmd_fig(args) -> int:
         meta = _metadata_lines(cfg, **extra)
         if name in _FIG_NOTES:
             meta.insert(0, _FIG_NOTES[name])
+        os.makedirs(outdir, exist_ok=True)
         _write_csv(os.path.join(outdir, name), meta, header, rows)
     return EXIT_OK
 

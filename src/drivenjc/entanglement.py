@@ -8,26 +8,27 @@ _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 #: sigma_y x sigma_y spin-flip matrix (real entries).
 SPIN_FLIP = np.kron(_SY, _SY).real.astype(float)
+#: Hermiticity, trace and eigenvalue tolerance of a density matrix.
+DENSITY_TOL = 1e-6
 
 
 class InvalidDensityMatrix(ValueError):
     """Input is not a density matrix within tolerance."""
 
 
-def _check_density(rho: np.ndarray, trace_tol: float = 1e-6,
-                   eig_tol: float = 1e-6) -> None:
+def _check_density(rho: np.ndarray) -> None:
     """Raise unless every matrix on the last two axes is a density matrix."""
     rho = np.asarray(rho)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise InvalidDensityMatrix(f"expected square matrices, got {rho.shape}")
     asymmetry = np.abs(rho - np.swapaxes(rho, -1, -2).conj())
-    if np.max(asymmetry, initial=0.0) > trace_tol:
+    if np.max(asymmetry, initial=0.0) > DENSITY_TOL:
         raise InvalidDensityMatrix("matrix is not Hermitian")
     dev = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0), initial=0.0)
-    if dev > trace_tol:
+    if dev > DENSITY_TOL:
         raise InvalidDensityMatrix(f"trace deviates from 1 by {dev:.3e}")
     lowest = np.linalg.eigvalsh(rho).min(initial=0.0)
-    if lowest < -eig_tol:
+    if lowest < -DENSITY_TOL:
         raise InvalidDensityMatrix(f"negative eigenvalue {lowest:.3e}")
 
 

@@ -40,8 +40,7 @@ def _error_norm(err, y, y_new, tol):
         return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
 
 
-def rk45(f, y0: np.ndarray, t0: float, t1: float, tol: float,
-         h0: float | None = None) -> np.ndarray:
+def rk45(f, y0: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarray:
     """Integrate dy/dt = f(t, y) from t0 to t1 with per-step error control.
 
     Raises StepSizeUnderflow when the required step falls below
@@ -55,8 +54,7 @@ def rk45(f, y0: np.ndarray, t0: float, t1: float, tol: float,
     if t1 == t0:
         return y
     span = t1 - t0
-    h = h0 if h0 is not None else span / 100.0
-    h = min(h, span)
+    h = span / 100.0
     h_min = 1e-14 * max(span, 1.0)
     t = t0
     k = [None] * 7

@@ -70,16 +70,16 @@ class DerivedParams:
     omega_prime: float      # Omega1 + omega_c
     delta2: float           # omega_prime - omega
     Omega_eff: float        # dispersive shift g_prime^2 / delta2; NaN if degenerate
-    degenerate: bool        # |delta2| < eps_div: the dispersive shift diverges
+    degenerate: bool        # |delta2| < EPS_DIV: the dispersive shift diverges
 
 
-def derive_params(p: ModelParams, eps_div: float = EPS_DIV) -> DerivedParams:
+def derive_params(p: ModelParams) -> DerivedParams:
     """Compute all frame-derived parameters from the physical inputs.
 
     The mixing angle is computed as atan2(2 lam, delta1) so the resonant
     drive case delta1 = 0 gives theta = pi/2 instead of a singularity.
 
-    A point is degenerate when |delta2| < eps_div.  For a single point
+    A point is degenerate when |delta2| < EPS_DIV.  For a single point
     (every input a scalar) that raises DegenerateDispersive; when any input
     is an array, degenerate points get Omega_eff = NaN and are flagged in
     `degenerate`.
@@ -90,10 +90,10 @@ def derive_params(p: ModelParams, eps_div: float = EPS_DIV) -> DerivedParams:
     g_prime = p.g * np.cos(theta / 2.0) ** 2
     omega_prime = Omega1 + p.omega_c
     delta2 = omega_prime - p.omega
-    degenerate = np.abs(delta2) < eps_div
+    degenerate = np.abs(delta2) < EPS_DIV
     if all(np.ndim(v) == 0 for v in vars(p).values()) and degenerate:
         raise DegenerateDispersive(
-            f"|delta2| = {abs(delta2):.3e} < {eps_div:.3e}: "
+            f"|delta2| = {abs(delta2):.3e} < {EPS_DIV:.3e}: "
             "dispersive shift g'^2/delta2 diverges"
         )
     with np.errstate(divide="ignore", invalid="ignore"):

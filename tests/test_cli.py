@@ -241,8 +241,8 @@ def test_any_float_input_gives_finite_output_or_exit_code(command, steps, values
                                steps)
 
 
-# verify is left out of the properties: one call costs 0.4 s or more.  At
-# most two options are set, so that most draws get past them to the grid.
+# At most two options are set, so that most draws get past them to the grid
+# or, for verify, to the numerical checks.
 _SOME_VALUES = st.dictionaries(st.sampled_from(_FLOATS),
                                st.sampled_from(_VALUES), max_size=2)
 
@@ -261,6 +261,21 @@ def test_figures_give_finite_output_or_exit_code(command, steps, values):
     grid = ["--grid=3x2"] if command == "fig1" else []
     _check_exit_code_and_cells(
         [command, f"--steps={steps}", *grid, *_flags(values)], steps)
+
+
+# a verify call costs about 0.1 s; a few dozen draws keep tier-1 cheap
+@settings(max_examples=25, deadline=None)
+@given(values=_SOME_VALUES)
+def test_verify_gives_verdicts_or_exit_code(values):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", *_flags(values)])
+    assert code in (0, 1, 2, 3)
+    lines = out.getvalue().splitlines()
+    assert all(ln.startswith(("PASS ", "FAIL ")) for ln in lines)
+    if code in (0, 1):
+        assert (code == 1) == any(ln.startswith("FAIL ") for ln in lines)
 
 
 class TestSweep2d:
@@ -352,6 +367,14 @@ class TestFigures:
         assert any("linear entropy" in m for m in meta)
         assert np.all(rows[:, 1:] >= 0.0)
         assert np.all(rows[:, 1:] <= 0.5)
+
+    @pytest.mark.parametrize("command, steps", [
+        ("fig2", "1"), ("fig3", "0"), ("fig4", "-1")])
+    def test_too_few_steps_exit_2(self, command, steps, tmp_path, capsys):
+        out = tmp_path / "figs"
+        assert main([command, "--steps", steps, "--output", str(out)]) == 2
+        assert "steps must be >= 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def _per_value_csv(meta, header, rows):

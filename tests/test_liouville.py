@@ -127,7 +127,8 @@ class TestInteractionV:
         np.testing.assert_allclose(got, level_shift_rhs(v), atol=1e-18)
 
     def test_single_block_matches_broadcast(self):
-        # verify_disentangling builds one block at a time, the oracle all four
+        # verify_disentangling and lindblad_rhs pass block index arrays; one
+        # block built on its own must act the same
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 2, 7, 7)) + 1j * rng.normal(size=(2, 2, 7, 7))
         Om, k = 0.3, 0.2
@@ -396,6 +397,18 @@ class TestVerifyDisentangling:
     def test_guard(self):
         with pytest.raises(lv.DimensionGuard):
             lv.verify_disentangling(1e-3, 1e-3, 1.0, lv.FockConfig(nmax=40))
+
+    def test_one_rk45_run_per_call(self, monkeypatch):
+        # all four blocks and every test matrix go through a single run
+        shapes = []
+
+        def counted(f, y0, *args):
+            shapes.append(y0.shape)
+            return rk45(f, y0, *args)
+
+        monkeypatch.setattr(lv, "rk45", counted)
+        lv.verify_disentangling(1e-3, 1e-3, 100.0, CFG6)
+        assert shapes == [(lv.VERIFY_MATRICES, 4, 7, 7)]
 
 
 class TestTruncationConvergence:
