@@ -1,4 +1,8 @@
-"""Dissipative dynamics and entanglement of a driven atom in a lossy cavity."""
+"""Dissipative dynamics and entanglement of a driven atom in a lossy cavity.
+
+The Fock-space oracle is the submodule `drivenjc.liouville`; it is not
+imported here, because it loads scipy.
+"""
 
 from .model import (
     DegenerateDispersive,
@@ -6,7 +10,6 @@ from .model import (
     ModelParams,
     derive_params,
     dispersive_ratio,
-    dressed_transform,
 )
 from .analytic import (
     AnalyticSnapshot,
@@ -15,22 +18,11 @@ from .analytic import (
     evolve,
     linear_entropy_analytic,
     photon_number,
-    two_qubit_density,
 )
 from .entanglement import (
     InvalidDensityMatrix,
     linear_entropy_general,
     wootters_concurrence,
-)
-from .liouville import (
-    FockConfig,
-    SuperopSpec,
-    TruncationError,
-    coherent_vector,
-    default_nmax,
-    generator,
-    integrate,
-    verify_disentangling,
 )
 
 __version__ = "0.1.0"

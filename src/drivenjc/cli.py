@@ -3,7 +3,8 @@
 Subcommands: params | timeseries | sweep2d | fig1 | fig2 | fig3 | fig4 | verify.
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 numerical
 failure.  Option precedence: command-line flag > config file > built-in
-default.
+default.  The Fock-space oracle (`liouville`, and with it scipy) is imported
+only by the commands that run it: `timeseries --oracle` and `verify`.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ import functools
 import math
 import os
 import re
+import signal
 import sys
 
 import numpy as np
 
-from . import analytic, entanglement, liouville, model
-from .integrator import StepSizeUnderflow
+from . import analytic, entanglement, model
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -140,7 +141,7 @@ def model_params(cfg: dict, **over) -> model.ModelParams:
 def _nmax(cfg: dict) -> int:
     if cfg["nmax"] is not None:
         return cfg["nmax"]
-    return liouville.default_nmax(complex(cfg["alpha_re"], cfg["alpha_im"]))
+    return model.default_nmax(complex(cfg["alpha_re"], cfg["alpha_im"]))
 
 
 def _steps(cfg: dict) -> int:
@@ -285,6 +286,7 @@ def cmd_timeseries(args) -> int:
     times = np.linspace(cfg["t_start"], cfg["t_end"], _steps(cfg))
     columns = {"t": times, **_observables(p, d, times)}
     if args.oracle:
+        from . import liouville
         conc, _, _, terr = liouville.oracle_series(p, d, times, _nmax(cfg))
         columns.update(concurrence_numeric=conc, trace_error=terr)
     rows = _require_finite(np.column_stack(list(columns.values())))
@@ -330,6 +332,8 @@ def cmd_fig(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import liouville
+
     cfg = build_config(args)
     p = model_params(cfg)
     d = model.derive_params(p)
@@ -446,8 +450,7 @@ def main(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):
             return COMMANDS[args.command][0](args)
-    except (ArithmeticError, StepSizeUnderflow,
-            liouville.SeriesNotConverged) as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
@@ -456,6 +459,11 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    # A reader that closes the pipe early (`drivenjc verify | head -1`) ends
+    # the process quietly, as it ends a Unix filter, instead of reading as
+    # invalid input.  Windows has no SIGPIPE.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

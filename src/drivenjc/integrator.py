@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 
-class StepSizeUnderflow(RuntimeError):
+class StepSizeUnderflow(ArithmeticError):
     """The step controller cannot meet the requested tolerance."""
 
 

@@ -21,7 +21,7 @@ from scipy.linalg import expm
 
 from . import analytic, entanglement
 from .integrator import rk45
-from .model import DerivedParams, ModelParams
+from .model import DerivedParams, ModelParams, default_nmax
 
 #: Largest Fock dimension N of the dense (N^2 x N^2) superoperator route.
 DENSE_GUARD = 32
@@ -64,7 +64,7 @@ class DimensionGuard(ValueError):
     """Fock dimension too large for the dense superoperator route."""
 
 
-class SeriesNotConverged(RuntimeError):
+class SeriesNotConverged(ArithmeticError):
     """The M-exponential series hit the truncation boundary while still large."""
 
 
@@ -113,12 +113,6 @@ def generator(Omega: float, kappa: float, a, b) -> SuperopSpec:
                        c_r=-(kappa + 1j * Omega * s_a),
                        c_l=-(kappa - 1j * Omega * s_b),
                        c_s=-1j * Omega * (b - a))
-
-
-def default_nmax(alpha: complex) -> int:
-    """Truncation covering > 8 standard deviations of the Poisson photon law."""
-    a = abs(alpha)
-    return max(20, math.ceil(a * a + 8.0 * a + 10.0))
 
 
 def annihilation(N: int) -> np.ndarray:

@@ -122,6 +122,12 @@ def dressed_transform(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]], dtype=complex)
 
 
+def default_nmax(alpha: complex) -> int:
+    """Truncation covering > 8 standard deviations of the Poisson photon law."""
+    a = abs(alpha)
+    return max(20, math.ceil(a * a + 8.0 * a + 10.0))
+
+
 def dispersive_ratio(d: DerivedParams, n: int) -> float:
     """Perturbation-strength ratio sqrt(n+1) g' / |delta2| at photon number n.
 

@@ -1,6 +1,10 @@
 import contextlib
 import io
+import os
 import re
+import signal
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from drivenjc import cli, liouville
 from drivenjc.cli import OPTIONS, main
+from drivenjc.integrator import StepSizeUnderflow
 
 
 def parse_report(text):
@@ -102,6 +107,18 @@ class TestTimeseries:
 
     def test_bad_steps_exits_2(self):
         assert main(["timeseries", "--steps", "1"]) == 2
+
+    @pytest.mark.parametrize("error", [liouville.SeriesNotConverged,
+                                       StepSizeUnderflow])
+    def test_oracle_numerical_failure_exits_3(self, error, capsys, monkeypatch):
+        def failing(*args):
+            raise error("oracle failed")
+
+        monkeypatch.setattr(liouville, "oracle_series", failing)
+        assert main(["timeseries", "--oracle", "--steps", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestConfigPrecedence:
@@ -498,3 +515,50 @@ class TestVerify:
               "--t-end", "90", "--output", str(out)])
         _, _, rows = read_csv(out)
         np.testing.assert_allclose(rows[:, 2], 0.0, atol=1e-14)
+
+
+def _fresh_interpreter(args, **kwargs):
+    """A new Python process that imports drivenjc from where the tests do."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
+
+
+_CLOSED_FORM_COMMANDS = """
+import sys
+from drivenjc import cli
+
+out = sys.argv[1]
+for argv in (["params"],
+             ["timeseries", "--output", out + "/ts.csv"],
+             ["sweep2d", "--axis1", "lambda:0:1", "--axis2", "kappa:0:1e-3",
+              "--grid", "3x3", "--output", out + "/sweep.csv"],
+             *([fig, "--output", out] for fig in ("fig1", "fig2", "fig3", "fig4"))):
+    assert cli.main(argv) == 0, argv
+print("loaded:", [m for m in ("scipy", "drivenjc.liouville") if m in sys.modules])
+print("oracle exit:", cli.main(["timeseries", "--oracle", "--steps", "5",
+                                "--output", out + "/oracle.csv"]))
+"""
+
+
+class TestFreshProcess:
+    def test_closed_forms_load_no_oracle(self, tmp_path):
+        proc = _fresh_interpreter(["-c", _CLOSED_FORM_COMMANDS, str(tmp_path)],
+                                  stdout=subprocess.PIPE, text=True)
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert out.splitlines()[-2:] == ["loaded: []", "oracle exit: 0"]
+        assert (tmp_path / "fig4.csv").is_file()
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+    def test_closed_reader_ends_quietly(self):
+        # -u: each verdict line reaches the pipe as it is printed, so the
+        # second one is written after the reader has gone
+        proc = _fresh_interpreter(["-u", "-m", "drivenjc.cli", "verify"],
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"PASS disentangling")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == -signal.SIGPIPE
+        assert err == b""
