@@ -283,11 +283,12 @@ def cmd_timeseries(args) -> int:
     cfg = build_config(args)
     p = model_params(cfg)
     d = model.derive_params(p)
-    times = np.linspace(cfg["t_start"], cfg["t_end"], _steps(cfg))
+    grid = cfg["t_start"], cfg["t_end"], _steps(cfg)
+    times = np.linspace(*grid)
     columns = {"t": times, **_observables(p, d, times)}
     if args.oracle:
         from . import liouville
-        conc, _, _, terr = liouville.oracle_series(p, d, times, _nmax(cfg))
+        conc, _, _, terr = liouville.oracle_series(p, d, *grid, _nmax(cfg))
         columns.update(concurrence_numeric=conc, trace_error=terr)
     rows = _require_finite(np.column_stack(list(columns.values())))
     _write_csv(args.output, _metadata_lines(cfg, oracle=int(args.oracle)),
@@ -338,6 +339,10 @@ def cmd_verify(args) -> int:
     p = model_params(cfg)
     d = model.derive_params(p)
     _require_finite(d.Omega_eff)
+    # bad oracle input exits 2 before any verdict is printed
+    liouville.FockConfig(nmax=_nmax(cfg))
+    if not 0 <= cfg["t_start"] <= cfg["t_end"]:
+        raise ValueError("verify needs 0 <= t_start <= t_end")
     ok = True
 
     # stage 1: superoperator disentangling at a small, dense-friendly nmax
@@ -346,7 +351,7 @@ def cmd_verify(args) -> int:
         try:
             rep = liouville.verify_disentangling(
                 d.Omega_eff, p.kappa, t, fock, alpha=p.alpha)
-        except (liouville.DimensionGuard, liouville.SeriesNotConverged) as exc:
+        except liouville.SeriesNotConverged as exc:
             print(f"FAIL disentangling t={t:g}: {exc}")
             ok = False
             continue
@@ -358,15 +363,14 @@ def cmd_verify(args) -> int:
               f"dyad_err={dy:.3e}")
 
     # stage 2: closed forms against the exactly propagated Lindblad oracle
-    times = np.linspace(cfg["t_start"], cfg["t_end"], 16)
+    grid = cfg["t_start"], cfg["t_end"], 16
     try:
-        conc, entr, nbar, terr = liouville.oracle_series(
-            p, d, times, _nmax(cfg))
+        conc, entr, nbar, terr = liouville.oracle_series(p, d, *grid, _nmax(cfg))
     except (liouville.TruncationError,
             entanglement.InvalidDensityMatrix) as exc:
         print(f"FAIL oracle integration: {exc}")
         return EXIT_VERIFY_FAIL
-    closed = _observables(p, d, times)
+    closed = _observables(p, d, np.linspace(*grid))
     # the oracle's photon number is off by |alpha|^2 times its trace error,
     # the rounding of the coherent state, so its tolerance is per photon
     photons = max(1.0, abs(p.alpha) ** 2)

@@ -27,6 +27,7 @@ from .model import DerivedParams, ModelParams, default_nmax
 DENSE_GUARD = 32
 #: Largest accepted Fock truncation; one oracle state at nmax = 500 is 16 MB.
 NMAX_LIMIT = 500
+TRUNC_TOL = 1e-10   # admissible norm loss of a coherent state at nmax
 SERIES_TOL = 1e-12
 #: random Hermitian test operators per generator in verify_disentangling,
 #: and the seed they are drawn from
@@ -40,9 +41,6 @@ DYAD_TOL = 1e-10
 #: least one).  Kept small: at nmax 20-40 the propagators would otherwise
 #: be the largest arrays of an oracle run.
 PROPAGATOR_BYTES = 3 << 17
-#: Sample steps within this many ulps of the last sample time share a
-#: propagator (np.linspace steps differ in their last bits only).
-STEP_ULPS = 4
 #: Diagonal layout of `integrate`: block (a, b) and sign of k = m - n of each
 #: column, for class 0 (a = b) and class 1 (a != b).  rho_10 is held
 #: conjugated, so that it shares the propagator of rho_01.
@@ -71,15 +69,10 @@ class SeriesNotConverged(ArithmeticError):
 @dataclass(frozen=True)
 class FockConfig:
     nmax: int                   # highest retained Fock level; dimension nmax+1
-    trunc_tol: float = 1e-10    # admissible norm loss for coherent preparation
 
     def __post_init__(self):
-        if self.nmax < 1:
-            raise ValueError(f"nmax must be >= 1, got {self.nmax}")
-        if self.nmax > NMAX_LIMIT:
-            raise ValueError(f"nmax must be <= {NMAX_LIMIT}, got {self.nmax}")
-        if self.trunc_tol <= 0:
-            raise ValueError(f"trunc_tol must be > 0, got {self.trunc_tol}")
+        if not 1 <= self.nmax <= NMAX_LIMIT:
+            raise ValueError(f"nmax must be in 1..{NMAX_LIMIT}, got {self.nmax}")
 
     @property
     def dim(self) -> int:
@@ -135,12 +128,12 @@ def coherent_vector(alpha, cfg: FockConfig) -> np.ndarray:
     vec = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha)[..., None])
     vec = np.where(r > 0, vec, n == 0)
     norm_loss = 1.0 - np.sum(np.abs(vec) ** 2, axis=-1)
-    if np.any(norm_loss >= cfg.trunc_tol):
+    if np.any(norm_loss >= TRUNC_TOL):
         worst = np.unravel_index(np.argmax(norm_loss), norm_loss.shape)
         raise TruncationError(
             f"coherent state alpha={complex(alpha[worst])} loses "
             f"{norm_loss[worst]:.3e} norm at nmax={cfg.nmax} "
-            f"(tol {cfg.trunc_tol:.3e})",
+            f"(tol {TRUNC_TOL:.3e})",
             float(norm_loss[worst]),
         )
     return vec
@@ -170,50 +163,32 @@ def _make_rhs(spec: SuperopSpec, N: int):
     return lambda _t, X: diag * X + spec.c_m * _lower(X)
 
 
-def _step_groups(times: np.ndarray):
-    """Step group of each sample and the length of each group.
-
-    A sample's step runs from the previous sample (from t = 0 for the
-    first).  np.linspace steps differ only in their last bits, so steps
-    within STEP_ULPS ulps of times[-1] share one group, of their mean length.
-    """
-    steps = np.diff(times, prepend=0.0)
-    order = np.argsort(steps)
-    tol = STEP_ULPS * np.spacing(times[-1])
-    starts = np.diff(steps[order], prepend=-np.inf) > tol
-    group = np.empty(len(steps), dtype=int)
-    group[order] = np.cumsum(starts) - 1
-    return group, np.bincount(group, weights=steps) / np.bincount(group)
-
-
-def integrate(Omega: float, kappa: float, rho0: np.ndarray, times):
-    """Yield (i, part) pairs whose parts sum to the field blocks at times[i].
+def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,
+              dt: float, count: int):
+    """Yield (i, part) pairs; the parts sum to the blocks at t_start + i dt.
 
     Omega is the dispersive shift, rho0 the (2, 2, N, N) block array at
-    t = 0; `times` must be non-decreasing and >= 0.  Every block generator
-    keeps the offset k = m - n, so each diagonal of rho_ab evolves on its
-    own, under d0 + B with d0 a scalar and B upper bidiagonal (diagonal
-    (c_r + c_l) j, superdiagonal c_m sqrt((n + 1)(m + 1))).  B depends only
-    on |k| and on whether a = b, and B of rho_10 is the conjugate of B of
-    rho_01, so a step of length h takes one expm per |k| and class.  The
-    diagonals run through all samples in chunks of |k| whose propagators
-    fit PROPAGATOR_BYTES, each chunk yielding one part per sample; for
-    evenly spaced samples one chunk holds them all up to N = 23, and the
-    samples come in order, one part each.  Fock levels above the support
-    of rho0 stay empty, since photon loss only lowers n, and are not
-    propagated.
+    t = 0; sample 0 steps from t = 0 by t_start >= 0, each later one by
+    dt >= 0, and i < count.  Every block generator keeps the offset
+    k = m - n, so each diagonal of rho_ab evolves on its own, under d0 + B
+    with d0 a scalar and B upper bidiagonal (diagonal (c_r + c_l) j,
+    superdiagonal c_m sqrt((n + 1)(m + 1))).  B depends only on |k| and on
+    whether a = b, and B of rho_10 is the conjugate of B of rho_01, so a
+    step takes one expm per |k| and class.  The diagonals run through all
+    samples in chunks of |k| whose propagators, for both step lengths, fit
+    PROPAGATOR_BYTES, each chunk yielding one part per sample; with
+    t_start = 0 one chunk holds them all up to N = 23.  Fock levels above
+    the support of rho0 stay empty, since photon loss only lowers n, and
+    are not propagated.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        return
-    if np.any(np.diff(times) < 0) or times[0] < 0:
-        raise ValueError("times must be non-decreasing and >= 0")
+    if t_start < 0 or dt < 0:
+        raise ValueError(f"t_start and dt must be >= 0, got {t_start}, {dt}")
+    steps = [t_start, *[dt] * (count - 1)][:count]
+    moving = {h for h in steps[:2] if h > 0}
     N = rho0.shape[-1]
     support = np.flatnonzero(np.any(rho0 != 0, axis=(0, 1, 2))
                              | np.any(rho0 != 0, axis=(0, 1, 3)))
     n_eff = support[-1] + 1 if support.size else 1
-    group, lengths = _step_groups(times)
-    moving = np.flatnonzero(lengths > 0)
     spec = generator(Omega, kappa, _BLOCK_A, _BLOCK_B)
     c_m, c_r, c_l, c_s = (np.broadcast_to(c, _BLOCK_A.shape)[:, None, None, :]
                           for c in (spec.c_m, spec.c_r, spec.c_l, spec.c_s))
@@ -230,8 +205,7 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, times):
         j = np.arange(L)
         band = np.sqrt((j[:-1] + 1.0) * (j[:-1] + q[:, None] + 1.0))
         props = {}
-        for g in moving:
-            h = lengths[g]
+        for h in moving:
             prop = np.empty((2, len(q), L, L), dtype=complex)
             # B of each class from its first column, rho_00 or rho_01
             for c, s in np.ndindex(prop.shape[:2]):
@@ -239,7 +213,7 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, times):
                 B[j[:-1], j[1:]] = c_m[c, 0, 0, 0] * band[s]
                 prop[c, s] = expm(B * h)
             phase = np.exp((d0_slope * q[:, None, None] + c_s) * h)
-            props[g] = prop, np.where(_CONJ, phase.conj(), phase)
+            props[h] = prop, np.where(_CONJ, phase.conj(), phase)
         # diagonal layout z[class, |k|, j, column]; column = block, sign of k
         jj = j[:, None]
         qq = q[:, None, None]
@@ -253,9 +227,9 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, times):
         z = np.zeros((2, len(q), L, 4), dtype=complex)
         z.reshape(-1)[valid] = rho0.reshape(-1)[flat]
         z = np.where(_CONJ, z.conj(), z)
-        for i, g in enumerate(group):
-            if g in props:
-                prop, phase = props[g]
+        for i, h in enumerate(steps):
+            if h > 0:
+                prop, phase = props[h]
                 np.multiply(phase, prop @ z, out=z)
             values = z.reshape(-1)[valid]
             np.conjugate(values, out=values, where=conj)
@@ -278,9 +252,9 @@ def _branch_basis(alpha_plus, alpha_minus, cfg: FockConfig) -> np.ndarray:
     return np.stack([up, down], axis=-2)
 
 
-def oracle_series(p: ModelParams, d: DerivedParams, times: np.ndarray,
-                  nmax: int):
-    """Lindblad-propagated observables of the model at the given times.
+def oracle_series(p: ModelParams, d: DerivedParams, t_start: float,
+                  t_end: float, steps: int, nmax: int):
+    """Lindblad-propagated observables at np.linspace(t_start, t_end, steps).
 
     Propagates the master equation exactly from the product of the atomic
     state (c0, c1) and the coherent field |alpha> in a Fock space truncated
@@ -290,17 +264,19 @@ def oracle_series(p: ModelParams, d: DerivedParams, times: np.ndarray,
     entropy, photon number and trace error.
     """
     fock = FockConfig(nmax=nmax)
-    times = np.asarray(times, dtype=float)
+    times, dt = np.linspace(t_start, t_end, steps, retstep=True)
     rho0 = initial_blocks(p.c0, p.c1, coherent_vector(p.alpha, fock))
     snap = analytic.evolve(p, d, times)
     basis = _branch_basis(snap.alpha_plus, snap.alpha_minus, fock)
     # proj[i, a, b, f, g] = <basis_f| rho_ab |basis_g> at times[i]
-    proj = np.zeros((len(times), 2, 2, 2, 2), dtype=complex)
-    pops = np.zeros((len(times), 2, fock.dim))
-    for i, part in integrate(d.Omega_eff, p.kappa, rho0, times):
+    proj = np.zeros((steps, 2, 2, 2, 2), dtype=complex)
+    pops = np.zeros((steps, 2, fock.dim))
+    for i, part in integrate(d.Omega_eff, p.kappa, rho0, t_start, dt, steps):
         proj[i] += basis[i].conj() @ part @ basis[i].T
         pops[i] += np.einsum("aann->an", part).real
     rho4 = proj.transpose(0, 3, 1, 4, 2).reshape(-1, 4, 4)
+    if not np.all(np.isfinite(rho4)):
+        raise FloatingPointError("oracle state overflowed to non-finite values")
     nbar = np.sum(pops @ np.arange(float(fock.dim)), axis=-1)
     trace_err = np.abs(np.sum(pops, axis=(1, 2)) - 1.0)
     return (entanglement.wootters_concurrence(rho4),
@@ -436,7 +412,7 @@ def verify_disentangling(Omega: float, kappa: float, t: float, cfg: FockConfig,
     # sized for 2|alpha| up to NMAX_LIMIT, never below default_nmax(alpha).
     nmax = max(cfg.nmax, default_nmax(alpha),
                min(NMAX_LIMIT, default_nmax(2.0 * abs(alpha))))
-    dyad_cfg = FockConfig(nmax=nmax, trunc_tol=1e-6)
+    dyad_cfg = FockConfig(nmax=nmax)
     v0 = coherent_vector(alpha, dyad_cfg)
     dyad = 0.5 * np.outer(v0, v0.conj())
     a_plus, a_minus, f = analytic.branches(alpha, kappa, Omega, t)

@@ -66,13 +66,14 @@ def test_criterion_2_lossless_maximum():
 
 
 def test_criterion_3_photon_decay(tmp_path):
-    times = np.linspace(0.0, 200.0, 21)
+    grid = 0.0, 200.0, 21
+    times = np.linspace(*grid)
     worst = 0.0
     columns = [times]
     for kappa in (1e-4, 1e-3):
         p = make_params(kappa=kappa)
         d = model.derive_params(p)
-        _, _, nbar, _ = liouville.oracle_series(p, d, times, nmax=20)
+        _, _, nbar, _ = liouville.oracle_series(p, d, *grid, nmax=20)
         expected = analytic.photon_number(p, times)
         worst = max(worst, float(np.max(np.abs(nbar - expected))))
         columns.append(nbar)
@@ -87,12 +88,13 @@ def test_criterion_3_photon_decay(tmp_path):
 def test_criterion_4_closed_form_vs_oracle():
     cases = [(0.0, 0.0, 0.0), (0.0, 0.0, 1e-4), (0.0, 0.0, 1e-3),
              (0.2, 0.2, 1e-3)]
-    times = np.linspace(0.0, 300.0, 13)
+    grid = 0.0, 300.0, 13
+    times = np.linspace(*grid)
     worst_c = worst_s = 0.0
     for omega_c, lam, kappa in cases:
         p = make_params(omega_c=omega_c, lam=lam, kappa=kappa)
         d = model.derive_params(p)
-        conc_n, entr_n, _, _ = liouville.oracle_series(p, d, times, nmax=20)
+        conc_n, entr_n, _, _ = liouville.oracle_series(p, d, *grid, nmax=20)
         s = analytic.evolve(p, d, times)
         conc_a = analytic.concurrence_analytic(s)
         entr_a = analytic.linear_entropy_analytic(s)
@@ -196,7 +198,7 @@ def test_criterion_8_integrator_invariants():
         state = liouville.initial_blocks(
             c0, c1, liouville.coherent_vector(alpha, fock))
         final = sum(part for _, part in
-                    liouville.integrate(Omega, kappa, state, [t_end]))
+                    liouville.integrate(Omega, kappa, state, t_end, 0.0, 1))
         # joint matrix over (atom, Fock level) assembled from the blocks
         rho = final.transpose(0, 2, 1, 3).reshape(2 * fock.dim, 2 * fock.dim)
         worst_trace = max(worst_trace, abs(np.trace(rho).real - 1.0))

@@ -166,6 +166,11 @@ class TestInputContract:
         (["timeseries", "--g", "1e300"], 3),
         (["sweep2d", "--axis1", "g:0:1e300", "--axis2", "kappa:0:1e-3",
           "--grid", "3x2"], 3),
+        # an oracle grid before t = 0 or running backwards
+        (["verify", "--t-start", "-1"], 2),
+        (["verify", "--t-start", "100", "--t-end", "0"], 2),
+        # expm of a step of 5e299 overflows
+        (["timeseries", "--oracle", "--steps", "3", "--t-end", "1e300"], 3),
     ])
     def test_exit_code_without_output(self, argv, code, capsys):
         assert main(argv) == code
@@ -175,6 +180,7 @@ class TestInputContract:
         ["timeseries", "--oracle", "--alpha-re", "100"],
         ["verify", "--alpha-re", "100"],
         ["timeseries", "--oracle", "--nmax", "100000"],
+        ["verify", "--nmax", "600"],
     ])
     def test_fock_truncation_limit(self, argv, capsys):
         # default_nmax(100) is 10 810: rejected before any Fock-space array
@@ -291,6 +297,8 @@ def test_verify_gives_verdicts_or_exit_code(values):
     assert code in (0, 1, 2, 3)
     lines = out.getvalue().splitlines()
     assert all(ln.startswith(("PASS ", "FAIL ")) for ln in lines)
+    if code == 2:
+        assert lines == []
     if code in (0, 1):
         assert (code == 1) == any(ln.startswith("FAIL ") for ln in lines)
 
@@ -486,6 +494,12 @@ class TestVerify:
         out = capsys.readouterr().out
         assert rc == 0
         assert "FAIL" not in out
+
+    def test_oracle_overflow_exits_3(self, capsys):
+        # expm of a step of 6.7e298 overflows: a numerical failure, which the
+        # stage-2 Wootters eigensolver used to report as invalid input
+        assert main(["verify", "--t-end", "1e300"]) == 3
+        assert "overflowed" in capsys.readouterr().err
 
     def test_large_amplitude_passes(self, capsys):
         # the dyads are compared entry by entry, so the dyad stage's Fock

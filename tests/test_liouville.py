@@ -25,10 +25,6 @@ class TestFockConfig:
         with pytest.raises(ValueError, match="500"):
             lv.FockConfig(nmax=lv.NMAX_LIMIT + 1)
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            lv.FockConfig(nmax=5, trunc_tol=0.0)
-
     def test_default_nmax(self):
         assert lv.default_nmax(0.0) == 20
         assert lv.default_nmax(1.0) == 20
@@ -56,7 +52,7 @@ class TestCoherentVector:
 
     def test_truncation_error(self):
         with pytest.raises(lv.TruncationError) as exc:
-            lv.coherent_vector(3.0, lv.FockConfig(nmax=4, trunc_tol=1e-3))
+            lv.coherent_vector(3.0, lv.FockConfig(nmax=4))
         assert exc.value.norm_loss > 1e-3
 
     def test_array_of_amplitudes(self):
@@ -70,8 +66,7 @@ class TestCoherentVector:
                                        rtol=0, atol=1e-16)
         # one amplitude beyond the truncation fails the whole array
         with pytest.raises(lv.TruncationError) as exc:
-            lv.coherent_vector([0.5, 3.0, 0.1],
-                               lv.FockConfig(nmax=4, trunc_tol=1e-3))
+            lv.coherent_vector([0.5, 3.0, 0.1], lv.FockConfig(nmax=4))
         assert "alpha=(3+0j)" in str(exc.value)
 
 
@@ -185,18 +180,18 @@ def initial_state(alpha, cfg, c0=1 / math.sqrt(2), c1=1 / math.sqrt(2)):
     return lv.initial_blocks(c0, c1, lv.coherent_vector(alpha, cfg))
 
 
-def states_at(Omega, rho0, kappa, times):
-    """Field blocks at each of `times`, the sum of the parts `integrate`
-    yields for each sample."""
-    out = np.zeros((len(times),) + rho0.shape, dtype=complex)
-    for i, part in lv.integrate(Omega, kappa, rho0, times):
+def states_at(Omega, rho0, kappa, t_start, dt, count):
+    """Field blocks at t_start + i dt for i < count, the sum of the parts
+    `integrate` yields for each sample."""
+    out = np.zeros((count,) + rho0.shape, dtype=complex)
+    for i, part in lv.integrate(Omega, kappa, rho0, t_start, dt, count):
         out[i] += part
     return out
 
 
 def state_at(Omega, rho0, kappa, t):
     """Field blocks at time t, propagated from rho0 at t = 0."""
-    return states_at(Omega, rho0, kappa, [t])[0]
+    return states_at(Omega, rho0, kappa, t, 0.0, 1)[0]
 
 
 class TestIntegrate:
@@ -231,7 +226,13 @@ class TestIntegrate:
         (1, 0),                     # one |n - m| per pass
         (lv.PROPAGATOR_BYTES, 2),   # top Fock levels empty, left out
     ])
-    def test_matches_dense_propagator(self, budget, empty_top, monkeypatch):
+    @pytest.mark.parametrize("t_start, dt, count", [
+        (0.0, 1.7, 5),              # one step length
+        (0.3, 1.7, 5),              # two step lengths
+        (1.7, 0.0, 3),              # repeated samples
+    ])
+    def test_matches_dense_propagator(self, t_start, dt, count, budget,
+                                      empty_top, monkeypatch):
         monkeypatch.setattr(lv, "PROPAGATOR_BYTES", budget)
         N = 7
         rng = np.random.default_rng(29)
@@ -240,16 +241,45 @@ class TestIntegrate:
         rho0[..., N - empty_top:, :] = 0.0
         rho0[..., N - empty_top:] = 0.0
         Om, k = rng.normal(), rng.uniform(0.05, 0.5)
-        times = [0.0, 0.3, 1.7, 1.7, 4.0, 9.5]
-        got = states_at(Om, rho0, k, times)
+        got = states_at(Om, rho0, k, t_start, dt, count)
         cfg = lv.FockConfig(nmax=N - 1)
         for a in range(2):
             for b in range(2):
                 G = lv.dense_generator(lv.generator(Om, k, a, b), cfg)
-                for i, t in enumerate(times):
+                for i in range(count):
+                    t = t_start + i * dt
                     want = (expm(G * t) @ rho0[a, b].ravel()).reshape(N, N)
                     np.testing.assert_allclose(got[i, a, b], want,
                                                rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("t_start, dt, count, lengths", [
+        (0.0, 1.7, 5, 1),
+        (0.3, 1.7, 5, 2),
+        (1.7, 1.7, 5, 1),
+        (1.7, 0.0, 3, 1),
+        (0.3, 1.7, 1, 1),           # dt unused
+        (0.0, 0.0, 4, 0),
+    ])
+    def test_one_propagator_set_per_step_length(self, t_start, dt, count,
+                                                lengths, monkeypatch):
+        # N = 7 in one chunk: one expm per |n - m| and class per step length
+        calls = []
+
+        def counted(A):
+            calls.append(A.shape)
+            return expm(A)
+
+        monkeypatch.setattr(lv, "expm", counted)
+        rho0 = to_blocks(np.eye(14, dtype=complex) / 14)
+        rho0[0, 1] = rho0[1, 0] = 0.1
+        states_at(0.3, rho0, 0.2, t_start, dt, count)
+        assert len(calls) == 2 * 7 * lengths
+
+    @pytest.mark.parametrize("t_start, dt", [(-1.0, 0.5), (0.0, -0.5)])
+    def test_rejects_negative_step(self, t_start, dt):
+        rho0 = to_blocks(np.eye(4, dtype=complex) / 4)
+        with pytest.raises(ValueError, match=">= 0"):
+            states_at(0.0, rho0, 0.1, t_start, dt, 3)
 
     def test_step_size_underflow(self):
         def bad_rhs(t, y):
@@ -261,7 +291,7 @@ class TestIntegrate:
 
 class TestBlock:
     def test_product_state(self):
-        cfg = lv.FockConfig(nmax=4, trunc_tol=1e-4)
+        cfg = lv.FockConfig(nmax=8)
         field = lv.coherent_vector(0.5, cfg)
         rho_f = np.outer(field, field.conj())
         st = lv.initial_blocks(1.0, 0.0, field)
@@ -417,8 +447,8 @@ class TestTruncationConvergence:
                         kappa=1e-3, alpha=1.0)
         d = derive_params(p)
         results = []
-        for nmax, tol in [(20, 1e-8), (25, 5e-9)]:
-            cfg = lv.FockConfig(nmax=nmax, trunc_tol=tol)
+        for nmax in (20, 25):
+            cfg = lv.FockConfig(nmax=nmax)
             st = state_at(d.Omega_eff, initial_state(1.0, cfg), p.kappa, 100.0)
             nfull = np.kron(np.eye(2), lv.number_op(cfg.dim))
             results.append(np.trace(to_joint(st) @ nfull).real)
@@ -433,10 +463,11 @@ class TestOracleSeries:
                         kappa=2e-3, alpha=1.3 - 0.4j, c0=0.6, c1=0.8)
         d = derive_params(p)
         cfg = lv.FockConfig(nmax=24)
-        times = np.linspace(0.0, 200.0, 9)
-        conc, entr, nbar, terr = lv.oracle_series(p, d, times, cfg.nmax)
+        grid = 0.0, 200.0, 9
+        times = np.linspace(*grid)
+        conc, entr, nbar, terr = lv.oracle_series(p, d, *grid, cfg.nmax)
         states = states_at(d.Omega_eff, initial_state(p.alpha, cfg, p.c0, p.c1),
-                           p.kappa, times)
+                           p.kappa, 0.0, 25.0, 9)
         s = an.evolve(p, d, times)
         n = np.arange(float(cfg.dim))
         for i, st in enumerate(states):
@@ -450,7 +481,7 @@ class TestOracleSeries:
     def test_no_samples(self):
         p = ModelParams(omega=2.0, omega0=1.9, omega_c=0.0, g=0.01, lam=0.0,
                         kappa=1e-3, alpha=1.0)
-        out = lv.oracle_series(p, derive_params(p), np.array([]), 20)
+        out = lv.oracle_series(p, derive_params(p), 0.0, 300.0, 0, 20)
         assert [x.shape for x in out] == [(0,)] * 4
 
     def test_concurrence_under_strong_decay(self):
@@ -458,9 +489,9 @@ class TestOracleSeries:
         p = ModelParams(omega=2.0, omega0=1.9, omega_c=0.5, g=0.01, lam=0.5,
                         kappa=0.05, alpha=2.5)
         d = derive_params(p)
-        times = np.linspace(0.0, 300.0, 16)
-        conc, _, _, _ = lv.oracle_series(p, d, times, lv.default_nmax(p.alpha))
-        closed = an.concurrence_analytic(an.evolve(p, d, times))
+        grid = 0.0, 300.0, 16
+        conc, _, _, _ = lv.oracle_series(p, d, *grid, lv.default_nmax(p.alpha))
+        closed = an.concurrence_analytic(an.evolve(p, d, np.linspace(*grid)))
         assert np.max(np.abs(conc - closed)) < 1e-8
 
 
