@@ -62,10 +62,6 @@ class DimensionGuard(ValueError):
     """Fock dimension too large for the dense superoperator route."""
 
 
-class SeriesNotConverged(ArithmeticError):
-    """The M-exponential series hit the truncation boundary while still large."""
-
-
 @dataclass(frozen=True)
 class FockConfig:
     nmax: int                   # highest retained Fock level; dimension nmax+1
@@ -306,8 +302,11 @@ def _phi(z):
 def apply_factorized(spec: SuperopSpec, X: np.ndarray, t: float) -> np.ndarray:
     """Apply exp(spec * t) to X via the ordered product of exponentials.
 
-    exp(c_s t) exp(c_r t R) exp(c_l t L) exp(m M): the M factor is a
-    convergent operator series, the R and L factors diagonal scalings.
+    exp(c_s t) exp(c_r t R) exp(c_l t L) exp(m M): the M factor is an
+    operator series, the R and L factors diagonal scalings.  M lowers both
+    Fock indices, so M^N = 0 and the series is exact by j = N - 1; it stops
+    earlier once a term, scaled as the R and L factors scale each entry,
+    falls below SERIES_TOL of the scaled sum.
     The shift algebra [R, M] = [L, M] = -M gives m = c_m t phi((c_r + c_l) t),
     which stays bounded under decay (1 - exp(-2 kappa t) for a population
     block).  With the M factor on the left its coefficient would grow as
@@ -315,29 +314,19 @@ def apply_factorized(spec: SuperopSpec, X: np.ndarray, t: float) -> np.ndarray:
     exp(-kappa t n) scalings.  X may be a stack (..., N, N).
     """
     X = np.asarray(X, dtype=complex)
-    N = X.shape[-1]
-    n = np.arange(float(N))
-    s = spec.c_r + spec.c_l
-    m = spec.c_m * t * _phi(s * t)
-    acc = X.copy()
-    term = X
-    acc_norm = np.max(np.abs(acc), axis=(-2, -1))
-    converged = np.all(m == 0.0)
-    for j in range(1, N):
-        term = (m / j) * _lower(term)
-        acc = acc + term
-        acc_norm = np.maximum(acc_norm, np.max(np.abs(acc), axis=(-2, -1)))
-        if np.all(np.max(np.abs(term), axis=(-2, -1))
-                  <= SERIES_TOL * np.maximum(acc_norm, 1e-300)):
-            converged = True
-            break
-    if not converged:
-        raise SeriesNotConverged(
-            f"M-series term at truncation boundary still above "
-            f"{SERIES_TOL:.0e} of the running norm (nmax={N - 1})"
-        )
+    n = np.arange(float(X.shape[-1]))
+    m = spec.c_m * t * _phi((spec.c_r + spec.c_l) * t)
     left = np.exp(spec.c_r * t * n[:, None])
     right = np.exp(spec.c_l * t * n)
+    weight = np.abs(left * right)
+    acc = X.copy()
+    term = X
+    for j in range(1, len(n)):
+        term = (m / j) * _lower(term)
+        acc = acc + term
+        if np.all(np.max(np.abs(term) * weight, axis=(-2, -1))
+                  <= SERIES_TOL * np.max(np.abs(acc) * weight, axis=(-2, -1))):
+            break
     return np.exp(spec.c_s * t) * (left * acc * right)
 
 
@@ -384,14 +373,11 @@ def verify_disentangling(Omega: float, kappa: float, t: float, cfg: FockConfig,
     A, B = np.array([[0, 1, 0, 1], [0, 1, 1, 0]])   # blocks L00 L11 L01 L10
     spec = generator(Omega, kappa, A[:, None, None], B[:, None, None])
     prop = expm(dense_generator(spec, cfg) * t)
-    # X[i, k], test matrix i of block k, leaves the top Fock levels empty so
-    # the M-series terminates before the truncation boundary
+    # X[i, k]: test matrix i of block k
     N = cfg.dim
-    sup = max(1, N - 2)
     draw = np.random.default_rng(VERIFY_SEED).normal(
-        size=(len(A), VERIFY_MATRICES, 2, sup, sup)).swapaxes(0, 1)
-    X = np.zeros((VERIFY_MATRICES, len(A), N, N), dtype=complex)
-    X[..., :sup, :sup] = draw[:, :, 0] + 1j * draw[:, :, 1]
+        size=(2, VERIFY_MATRICES, len(A), N, N))
+    X = draw[0] + 1j * draw[1]
     X = X + X.conj().swapaxes(-1, -2)
     X /= np.max(np.abs(X), axis=(-2, -1), keepdims=True)
     routes = np.stack([

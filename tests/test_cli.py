@@ -108,8 +108,7 @@ class TestTimeseries:
     def test_bad_steps_exits_2(self):
         assert main(["timeseries", "--steps", "1"]) == 2
 
-    @pytest.mark.parametrize("error", [liouville.SeriesNotConverged,
-                                       StepSizeUnderflow])
+    @pytest.mark.parametrize("error", [FloatingPointError, StepSizeUnderflow])
     def test_oracle_numerical_failure_exits_3(self, error, capsys, monkeypatch):
         def failing(*args):
             raise error("oracle failed")
@@ -171,6 +170,11 @@ class TestInputContract:
         (["verify", "--t-start", "100", "--t-end", "0"], 2),
         # expm of a step of 5e299 overflows
         (["timeseries", "--oracle", "--steps", "3", "--t-end", "1e300"], 3),
+        # |alpha| = 1 loses 1.9e-2 norm at nmax 3
+        (["verify", "--nmax", "3"], 2),
+        (["timeseries", "--t-start", "100", "--t-end", "0", "--steps", "3"], 2),
+        # rk45's step floor: its first step from t = 0 underflows
+        (["verify", "--kappa", "1e300"], 3),
     ])
     def test_exit_code_without_output(self, argv, code, capsys):
         assert main(argv) == code

@@ -371,13 +371,31 @@ class TestSuperoperators:
         np.testing.assert_allclose(out, 0.5 * s.f * np.outer(vp, vm.conj()),
                                    atol=1e-10)
 
-    def test_series_not_converged_on_boundary_support(self):
+    def test_series_exact_on_boundary_support(self):
+        # M^N = 0, so the series is exact even with the top levels occupied
         rng = np.random.default_rng(13)
         x = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
         x = x + x.conj().T
         spec = lv.generator(-1e-3, 1e-2, 0, 0)  # m = 1 - e^{-2kt}, about 1
-        with pytest.raises(lv.SeriesNotConverged):
-            lv.apply_factorized(spec, x, 500.0)
+        dense = (expm(lv.dense_generator(spec, CFG6) * 500.0)
+                 @ x.ravel()).reshape(7, 7)
+        out = lv.apply_factorized(spec, x, 500.0)
+        assert np.max(np.abs(out - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("a, b", [(0, 0), (0, 1)])
+    def test_dyad_matches_dense_route(self, a, b):
+        # the early exit weighs each entry by its R and L scaling; unweighted,
+        # it stopped while terms still mattered at the low, slowly decaying
+        # Fock levels
+        spec = lv.generator(-1e-3, 1e-3, a, b)
+        cfg = lv.FockConfig(nmax=31)
+        # |3.5> cut at nmax 31 (it loses 1.9e-6 norm there)
+        v0 = lv.coherent_vector(3.5, lv.FockConfig(nmax=60))[:cfg.dim]
+        dyad = 0.5 * np.outer(v0, v0.conj())
+        dense = (expm(lv.dense_generator(spec, cfg) * 500.0)
+                 @ dyad.ravel()).reshape(dyad.shape)
+        np.testing.assert_allclose(lv.apply_factorized(spec, dyad, 500.0),
+                                   dense, rtol=0, atol=1e-13)
 
     def test_dense_generator_left_multiplication(self):
         spec = lv.SuperopSpec(c_m=0.0, c_r=0.7, c_l=0.0)
