@@ -139,8 +139,9 @@ def model_params(cfg: dict, **over) -> model.ModelParams:
 
 
 def _nmax(cfg: dict) -> int:
+    """The explicit --nmax, checked, else the default for |alpha|."""
     if cfg["nmax"] is not None:
-        return cfg["nmax"]
+        return model.check_nmax(cfg["nmax"])
     return model.default_nmax(complex(cfg["alpha_re"], cfg["alpha_im"]))
 
 

@@ -21,12 +21,11 @@ from scipy.linalg import expm
 
 from . import analytic, entanglement
 from .integrator import rk45
-from .model import DerivedParams, ModelParams, default_nmax
+from .model import (NMAX_LIMIT, DerivedParams, ModelParams, check_nmax,
+                    default_nmax)
 
 #: Largest Fock dimension N of the dense (N^2 x N^2) superoperator route.
 DENSE_GUARD = 32
-#: Largest accepted Fock truncation; one oracle state at nmax = 500 is 16 MB.
-NMAX_LIMIT = 500
 TRUNC_TOL = 1e-10   # admissible norm loss of a coherent state at nmax
 SERIES_TOL = 1e-12
 #: random Hermitian test operators per generator in verify_disentangling,
@@ -41,13 +40,13 @@ DYAD_TOL = 1e-10
 #: least one).  Kept small: at nmax 20-40 the propagators would otherwise
 #: be the largest arrays of an oracle run.
 PROPAGATOR_BYTES = 3 << 17
-#: Diagonal layout of `integrate`: block (a, b) and sign of k = m - n of each
-#: column, for class 0 (a = b) and class 1 (a != b).  rho_10 is held
-#: conjugated, so that it shares the propagator of rho_01.
-_BLOCK_A = np.array([[0, 0, 1, 1], [0, 0, 1, 1]])
-_BLOCK_B = np.array([[0, 0, 1, 1], [1, 1, 0, 0]])
-_SIGN = np.array([1, -1, 1, -1])
-_CONJ = np.array([[False] * 4, [False, False, True, True]])[:, None, None, :]
+#: Diagonal layout of `integrate`: block (a, b) and whether k = m - n >= 0,
+#: per class and column, for class 0 (rho_00 and rho_11 with k >= 0) and
+#: class 1 (rho_01, both signs of k).  The rest of the Hermitian state is
+#: their conjugate mirror.
+_BLOCK_A = np.array([[0, 1], [0, 0]])[:, None, None, :]
+_BLOCK_B = np.array([[0, 1], [1, 1]])[:, None, None, :]
+_UPPER = np.array([[True, True], [True, False]])[:, None, None, :]
 
 
 class TruncationError(ValueError):
@@ -67,8 +66,7 @@ class FockConfig:
     nmax: int                   # highest retained Fock level; dimension nmax+1
 
     def __post_init__(self):
-        if not 1 <= self.nmax <= NMAX_LIMIT:
-            raise ValueError(f"nmax must be in 1..{NMAX_LIMIT}, got {self.nmax}")
+        check_nmax(self.nmax)
 
     @property
     def dim(self) -> int:
@@ -164,33 +162,34 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,
     """Yield (i, part) pairs; the parts sum to the blocks at t_start + i dt.
 
     Omega is the dispersive shift, rho0 the (2, 2, N, N) block array at
-    t = 0; sample 0 steps from t = 0 by t_start >= 0, each later one by
-    dt >= 0, and i < count.  Every block generator keeps the offset
-    k = m - n, so each diagonal of rho_ab evolves on its own, under d0 + B
-    with d0 a scalar and B upper bidiagonal (diagonal (c_r + c_l) j,
-    superdiagonal c_m sqrt((n + 1)(m + 1))).  B depends only on |k| and on
-    whether a = b, and B of rho_10 is the conjugate of B of rho_01, so a
-    step takes one expm per |k| and class.  The diagonals run through all
-    samples in chunks of |k| whose propagators, for both step lengths, fit
-    PROPAGATOR_BYTES, each chunk yielding one part per sample; with
-    t_start = 0 one chunk holds them all up to N = 23.  Fock levels above
-    the support of rho0 stay empty, since photon loss only lowers n, and
-    are not propagated.
+    t = 0, which must be Hermitian (rho_ba = rho_ab^dagger); sample 0 steps
+    from t = 0 by t_start >= 0, each later one by dt >= 0, and i < count.
+    Every block generator keeps the offset k = m - n, so each diagonal of
+    rho_ab evolves on its own, under d0 + B with d0 a scalar and B upper
+    bidiagonal (diagonal (c_r + c_l) j, superdiagonal
+    c_m sqrt((n + 1)(m + 1))).  B depends only on |k| and on whether a = b.
+    The flow keeps rho Hermitian, so only the diagonals k >= 0 of rho_00
+    and rho_11 and all of rho_01 are propagated, and each part is written
+    with its conjugate mirror; a step takes one expm of the stacked B per
+    step length.  The diagonals run through all samples in chunks of |k|
+    whose propagators, for both step lengths, fit PROPAGATOR_BYTES, each
+    chunk yielding one part per sample; with t_start = 0 one chunk holds
+    them all up to N = 23.  Fock levels above the support of rho0 stay
+    empty, since photon loss only lowers n, and are not propagated.
     """
     if t_start < 0 or dt < 0:
         raise ValueError(f"t_start and dt must be >= 0, got {t_start}, {dt}")
     steps = [t_start, *[dt] * (count - 1)][:count]
     moving = {h for h in steps[:2] if h > 0}
     N = rho0.shape[-1]
-    support = np.flatnonzero(np.any(rho0 != 0, axis=(0, 1, 2))
-                             | np.any(rho0 != 0, axis=(0, 1, 3)))
+    support = np.flatnonzero(np.any(rho0 != 0, axis=(0, 1, 2)))
     n_eff = support[-1] + 1 if support.size else 1
     spec = generator(Omega, kappa, _BLOCK_A, _BLOCK_B)
-    c_m, c_r, c_l, c_s = (np.broadcast_to(c, _BLOCK_A.shape)[:, None, None, :]
+    c_m, c_r, c_l, c_s = (np.broadcast_to(c, _BLOCK_A.shape)
                           for c in (spec.c_m, spec.c_r, spec.c_l, spec.c_s))
     # d0 per class and column: c_l |k| + c_s above the diagonal, c_r |k| + c_s
-    # below it; a conjugated column takes the conjugate phase
-    d0_slope = np.where(_SIGN > 0, c_l, c_r)
+    # below it
+    d0_slope = np.where(_UPPER, c_l, c_r)
     q0 = 0
     while q0 < n_eff:
         L = n_eff - q0
@@ -199,37 +198,31 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,
         q = np.arange(q0, min(n_eff, q0 + max(width, 1)))
         q0 += len(q)
         j = np.arange(L)
-        band = np.sqrt((j[:-1] + 1.0) * (j[:-1] + q[:, None] + 1.0))
-        props = {}
-        for h in moving:
-            prop = np.empty((2, len(q), L, L), dtype=complex)
-            # B of each class from its first column, rho_00 or rho_01
-            for c, s in np.ndindex(prop.shape[:2]):
-                B = np.diag((c_r + c_l)[c, 0, 0, 0] * j)
-                B[j[:-1], j[1:]] = c_m[c, 0, 0, 0] * band[s]
-                prop[c, s] = expm(B * h)
-            phase = np.exp((d0_slope * q[:, None, None] + c_s) * h)
-            props[h] = prop, np.where(_CONJ, phase.conj(), phase)
-        # diagonal layout z[class, |k|, j, column]; column = block, sign of k
+        # B[class, |k|], its coefficients from the class's first column
+        B = np.zeros((2, len(q), L, L), dtype=complex)
+        B[..., j, j] = (c_r + c_l)[..., 0] * j
+        B[..., j[:-1], j[1:]] = c_m[..., 0] * np.sqrt(
+            (j[:-1] + 1.0) * (j[:-1] + q[:, None] + 1.0))
+        props = {h: (expm(B * h), np.exp((d0_slope * q[:, None, None] + c_s) * h))
+                 for h in moving}
+        # diagonal layout z[class, |k|, j, column]
         jj = j[:, None]
         qq = q[:, None, None]
-        n = np.where(_SIGN > 0, jj, jj + qq)
-        m = np.where(_SIGN > 0, jj + qq, jj)
-        flat = ((2 * _BLOCK_A[:, None, None, :] + _BLOCK_B[:, None, None, :]) * N
-                + n) * N + m
-        valid = np.flatnonzero(np.broadcast_to(jj + qq < n_eff, flat.shape))
-        conj = np.broadcast_to(_CONJ, flat.shape).reshape(-1)[valid]
-        flat = flat.reshape(-1)[valid]
-        z = np.zeros((2, len(q), L, 4), dtype=complex)
+        n = np.where(_UPPER, jj, jj + qq)
+        m = np.where(_UPPER, jj + qq, jj)
+        valid = np.flatnonzero(np.broadcast_to(jj + qq < n_eff, n.shape))
+        flat = (((2 * _BLOCK_A + _BLOCK_B) * N + n) * N + m).reshape(-1)[valid]
+        mirror = (((2 * _BLOCK_B + _BLOCK_A) * N + m) * N + n).reshape(-1)[valid]
+        z = np.zeros(n.shape, dtype=complex)
         z.reshape(-1)[valid] = rho0.reshape(-1)[flat]
-        z = np.where(_CONJ, z.conj(), z)
         for i, h in enumerate(steps):
             if h > 0:
                 prop, phase = props[h]
                 np.multiply(phase, prop @ z, out=z)
             values = z.reshape(-1)[valid]
-            np.conjugate(values, out=values, where=conj)
             part = np.zeros(rho0.size, dtype=complex)
+            # the mirror first, so that values hold on the main diagonals
+            part[mirror] = values.conj()
             part[flat] = values
             yield i, part.reshape(rho0.shape)
 

@@ -122,6 +122,17 @@ def dressed_transform(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]], dtype=complex)
 
 
+#: Largest accepted Fock truncation; one oracle state at nmax = 500 is 16 MB.
+NMAX_LIMIT = 500
+
+
+def check_nmax(nmax: int) -> int:
+    """nmax, if it is an accepted Fock truncation 1..NMAX_LIMIT."""
+    if not 1 <= nmax <= NMAX_LIMIT:
+        raise ValueError(f"nmax must be in 1..{NMAX_LIMIT}, got {nmax}")
+    return nmax
+
+
 def default_nmax(alpha: complex) -> int:
     """Truncation covering > 8 standard deviations of the Poisson photon law."""
     a = abs(alpha)

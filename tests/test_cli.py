@@ -175,10 +175,18 @@ class TestInputContract:
         (["timeseries", "--t-start", "100", "--t-end", "0", "--steps", "3"], 2),
         # rk45's step floor: its first step from t = 0 underflows
         (["verify", "--kappa", "1e300"], 3),
+        # an explicit --nmax outside 1..NMAX_LIMIT, also where no oracle runs
+        (["timeseries", "--nmax", "-5"], 2),
+        (["fig3", "--nmax", "0", "--output", "d"], 2),
+        (["sweep2d", "--nmax", "501", "--axis1", "lambda:0:1",
+          "--axis2", "kappa:0:1e-3", "--grid", "3x2"], 2),
     ])
-    def test_exit_code_without_output(self, argv, code, capsys):
+    def test_exit_code_without_output(self, argv, code, capsys, tmp_path,
+                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert main(argv) == code
         assert capsys.readouterr().out == ""
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["timeseries", "--oracle", "--alpha-re", "100"],

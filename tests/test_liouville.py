@@ -252,6 +252,25 @@ class TestIntegrate:
                     np.testing.assert_allclose(got[i, a, b], want,
                                                rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("budget, empty_top", [
+        (lv.PROPAGATOR_BYTES, 0),
+        (1, 0),
+        (lv.PROPAGATOR_BYTES, 2),
+    ])
+    def test_parts_are_hermitian(self, budget, empty_top, monkeypatch):
+        # the budget cases of test_matches_dense_propagator; every part is
+        # its own conjugate mirror, bit for bit
+        monkeypatch.setattr(lv, "PROPAGATOR_BYTES", budget)
+        N = 7
+        rng = np.random.default_rng(31)
+        m = rng.normal(size=(2 * N, 2 * N)) + 1j * rng.normal(size=(2 * N, 2 * N))
+        rho0 = to_blocks(m + m.conj().T)
+        rho0[..., N - empty_top:, :] = 0.0
+        rho0[..., N - empty_top:] = 0.0
+        for _, part in lv.integrate(rng.normal(), rng.uniform(0.05, 0.5),
+                                    rho0, 0.3, 1.7, 4):
+            assert np.array_equal(part, part.conj().transpose(1, 0, 3, 2))
+
     @pytest.mark.parametrize("t_start, dt, count, lengths", [
         (0.0, 1.7, 5, 1),
         (0.3, 1.7, 5, 2),
@@ -262,18 +281,19 @@ class TestIntegrate:
     ])
     def test_one_propagator_set_per_step_length(self, t_start, dt, count,
                                                 lengths, monkeypatch):
-        # N = 7 in one chunk: one expm per |n - m| and class per step length
-        calls = []
+        # N = 7 in one chunk: one propagator per |n - m| and class per step
+        # length, counted as the matrices of each stacked expm argument
+        matrices = []
 
         def counted(A):
-            calls.append(A.shape)
+            matrices.append(math.prod(A.shape[:-2]))
             return expm(A)
 
         monkeypatch.setattr(lv, "expm", counted)
         rho0 = to_blocks(np.eye(14, dtype=complex) / 14)
         rho0[0, 1] = rho0[1, 0] = 0.1
         states_at(0.3, rho0, 0.2, t_start, dt, count)
-        assert len(calls) == 2 * 7 * lengths
+        assert sum(matrices) == 2 * 7 * lengths
 
     @pytest.mark.parametrize("t_start, dt", [(-1.0, 0.5), (0.0, -0.5)])
     def test_rejects_negative_step(self, t_start, dt):
