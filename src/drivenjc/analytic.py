@@ -3,10 +3,8 @@
 In the dispersive interaction picture the field branch attached to each
 dressed atomic state is a decaying coherent state |alpha_pm(t)> with
 alpha_pm = alpha exp(-(kappa +- i Omega) t); the atomic coherence block
-carries the complex decoherence factor f(t).  Mapping the two field
-branches onto an orthonormal pair {|up>, |down>} embeds the state into a
-4x4 two-qubit density matrix from which concurrence and linear entropy
-follow in closed form.
+carries the complex decoherence factor f(t).  Concurrence and linear
+entropy follow from f(t) and the branch overlap tau(t) in closed form.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import numpy as np
 from .model import DerivedParams, ModelParams
 
 #: below this value of 1 - |tau|^2 the two field branches are treated as
-#: a single ray and the embedding is rank-deficient.
+#: a single ray, and the concurrence is 0.
 TAU_DEGENERACY = 1e-15
 
 
@@ -74,29 +72,6 @@ def evolve(p: ModelParams, d: DerivedParams, t: float) -> AnalyticSnapshot:
         t=t, alpha_plus=a_plus, alpha_minus=a_minus, f=f,
         tau=coherent_overlap(a_plus, a_minus), c0=p.c0, c1=p.c1,
     )
-
-
-def two_qubit_density(s: AnalyticSnapshot) -> np.ndarray:
-    """4x4 density matrix over {|up>,|down>} x {|0>,|1>}.
-
-    Index convention: row = 2*field + atom, field in {up=0, down=1}.
-    The dressed |1> branch occupies tau|up> + sqrt(1-|tau|^2)|down>; when
-    |tau| = 1 the two branches coincide and the |down> components are set
-    to zero (rank-deficient embedding).
-    """
-    w2 = 1.0 - abs(s.tau) ** 2
-    w = np.sqrt(w2) if w2 > TAU_DEGENERACY else 0.0
-    u = np.array([1.0, 0.0], dtype=complex)        # field vector of |up>
-    v = np.array([s.tau, w], dtype=complex)        # field vector of branch 1
-    rho = np.zeros((4, 4), dtype=complex)
-    coh = s.c0 * np.conj(s.c1) * s.f
-    for F in range(2):
-        for G in range(2):
-            rho[2 * F + 0, 2 * G + 0] += abs(s.c0) ** 2 * u[F] * np.conj(u[G])
-            rho[2 * F + 1, 2 * G + 1] += abs(s.c1) ** 2 * v[F] * np.conj(v[G])
-            rho[2 * F + 0, 2 * G + 1] += coh * u[F] * np.conj(v[G])
-            rho[2 * F + 1, 2 * G + 0] += np.conj(coh) * v[F] * np.conj(u[G])
-    return rho
 
 
 def concurrence_analytic(s: AnalyticSnapshot) -> float:

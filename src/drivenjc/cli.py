@@ -57,33 +57,30 @@ def _key(name: str) -> str:
 _SPEC = {_key(opt[0]): opt for opt in OPTIONS}
 _SWEEPABLE = tuple(key for key, opt in _SPEC.items() if opt[3])
 
-_FIG_BASE = dict(omega=2.0, omega0=1.9, g=1e-2, alpha_re=1.0, alpha_im=0.0)
-
 
 def _drive(x: float, kappa: float) -> dict:
     return dict(omega_c=x, lam=x, kappa=kappa)
 
 
-#: figure -> (options it fixes, files).  A file is (name, row axes, observable,
-#: {column suffix: option overrides}).  A row axis is (header, low, high),
-#: sampled by --grid for fig1 and by --steps otherwise; `t` is time, any
-#: other name an option, evaluated at t = 1/g.
+#: figure -> files (name, row axes, observable, {column suffix: overrides}).
+#: A row axis (header, low, high) takes --grid points in fig1, --steps points
+#: otherwise; `t` is time, any other name an option, evaluated at t = 1/g.
 FIGURES = {
-    "fig1": (dict(_FIG_BASE, omega_c=0.0), [
+    "fig1": [
         ("fig1.csv", [("lambda", 0.0, 1.0), ("kappa", 0.0, 5e-3)],
-         "concurrence", {"": {}})]),
-    "fig2": (_FIG_BASE, [
+         "concurrence", {"": {}})],
+    "fig2": [
         ("fig2_upper.csv", [("t", 0.0, 300.0)], "concurrence",
          {"_k0": _drive(0.0, 0.0), "_k1e-04": _drive(0.0, 1e-4),
           "_k1e-03": _drive(0.0, 1e-3)}),
         ("fig2_lower.csv", [("t", 0.0, 300.0)], "concurrence",
-         {"_undriven": _drive(0.0, 1e-3), "_driven": _drive(0.2, 1e-3)})]),
-    "fig3": (_FIG_BASE, [
+         {"_undriven": _drive(0.0, 1e-3), "_driven": _drive(0.2, 1e-3)})],
+    "fig3": [
         ("fig3.csv", [("t", 0.0, 200.0)], "photon_number",
-         {"_k1e-04": dict(kappa=1e-4), "_k1e-03": dict(kappa=1e-3)})]),
-    "fig4": (_FIG_BASE, [
+         {"_k1e-04": dict(kappa=1e-4), "_k1e-03": dict(kappa=1e-3)})],
+    "fig4": [
         ("fig4.csv", [("t", 0.0, 300.0)], "linear_entropy",
-         {"_undriven": _drive(0.0, 1e-3), "_driven": _drive(0.5, 1e-3)})]),
+         {"_undriven": _drive(0.0, 1e-3), "_driven": _drive(0.5, 1e-3)})],
 }
 _FIG_NOTES = {
     "fig4.csv": "# note: emits linear entropy; the source figure caption says "
@@ -143,6 +140,13 @@ def _nmax(cfg: dict) -> int:
     if cfg["nmax"] is not None:
         return model.check_nmax(cfg["nmax"])
     return model.default_nmax(complex(cfg["alpha_re"], cfg["alpha_im"]))
+
+
+def _default_t_eval(cfg: dict) -> float:
+    """1/g, the evaluation time of `sweep2d` and `fig1` unless one is given."""
+    if cfg["g"] == 0:
+        raise ValueError("t_eval defaults to 1/g, undefined at g = 0")
+    return 1.0 / cfg["g"]
 
 
 def _steps(cfg: dict) -> int:
@@ -267,6 +271,7 @@ def _parse_grid(text: str):
 
 def cmd_params(args) -> int:
     cfg = build_config(args)
+    _nmax(cfg)
     p = model_params(cfg)
     d = model.derive_params(p)
     n_typ = math.ceil(abs(p.alpha) ** 2)
@@ -308,12 +313,8 @@ def cmd_sweep2d(args) -> int:
     cfg = build_config(args)
     axes = [_parse_axis(args.axis1), _parse_axis(args.axis2)]
     counts = _parse_grid(args.grid)
-    if args.t_eval is not None:
-        t_eval = _number("t_eval", float, args.t_eval)
-    elif cfg["g"] == 0:
-        raise ValueError("t_eval defaults to 1/g, undefined at g = 0")
-    else:
-        t_eval = 1.0 / cfg["g"]
+    t_eval = (_default_t_eval(cfg) if args.t_eval is None
+              else _number("t_eval", float, args.t_eval))
     header, rows = _grid(cfg, axes, counts, "concurrence", {"": {}}, t_eval)
     meta = _metadata_lines(cfg, axis1=args.axis1, axis2=args.axis2,
                            grid="{}x{}".format(*counts), t_eval=t_eval)
@@ -323,13 +324,12 @@ def cmd_sweep2d(args) -> int:
 
 def cmd_fig(args) -> int:
     outdir = args.output if args.output else "."
-    fixed, files = FIGURES[args.command]
-    cfg = {**build_config(args), **fixed}
-    for name, axes, observable, columns in files:
+    cfg = build_config(args)
+    for name, axes, observable, columns in FIGURES[args.command]:
         if axes[0][0] == "t":
             counts, t_eval, extra = [_steps(cfg)], None, {}
         else:
-            counts, t_eval = _parse_grid(args.grid), 1.0 / cfg["g"]
+            counts, t_eval = _parse_grid(args.grid), _default_t_eval(cfg)
             extra = dict(grid="{}x{}".format(*counts), t_eval=t_eval)
         header, rows = _grid(cfg, axes, counts, observable, columns, t_eval)
         meta = _metadata_lines(cfg, **extra)

@@ -102,14 +102,6 @@ def generator(Omega: float, kappa: float, a, b) -> SuperopSpec:
                        c_s=-1j * Omega * (b - a))
 
 
-def annihilation(N: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, N)), 1)
-
-
-def number_op(N: int) -> np.ndarray:
-    return np.diag(np.arange(float(N)))
-
-
 def coherent_vector(alpha, cfg: FockConfig) -> np.ndarray:
     """Truncated Fock expansion of |alpha>, Fock index last; alpha may be an
     array.  Errors out when any alpha loses too much norm."""
@@ -247,10 +239,10 @@ def oracle_series(p: ModelParams, d: DerivedParams, t_start: float,
 
     Propagates the master equation exactly from the product of the atomic
     state (c0, c1) and the coherent field |alpha> in a Fock space truncated
-    at nmax, and projects each sampled state onto the two-branch basis of
-    the closed-form amplitudes alpha_pm(t).  `p` and `d` are a single point
-    of ModelParams and DerivedParams.  Returns arrays of concurrence, linear
-    entropy, photon number and trace error.
+    at nmax, for a single point `p`, `d`.  Returns arrays of concurrence,
+    linear entropy, photon number and trace error.  Only the concurrence
+    projects each sample onto the two-branch basis of the closed-form
+    amplitudes alpha_pm(t); the linear entropy is 1 - sum_ab |rho_ab|_F^2.
     """
     fock = FockConfig(nmax=nmax)
     times, dt = np.linspace(t_start, t_end, steps, retstep=True)
@@ -260,29 +252,19 @@ def oracle_series(p: ModelParams, d: DerivedParams, t_start: float,
     # proj[i, a, b, f, g] = <basis_f| rho_ab |basis_g> at times[i]
     proj = np.zeros((steps, 2, 2, 2, 2), dtype=complex)
     pops = np.zeros((steps, 2, fock.dim))
+    purity = np.zeros(steps)
     for i, part in integrate(d.Omega_eff, p.kappa, rho0, t_start, dt, steps):
         proj[i] += basis[i].conj() @ part @ basis[i].T
         pops[i] += np.einsum("aann->an", part).real
+        # the parts have disjoint supports, so their squared norms add up
+        purity[i] += np.vdot(part, part).real
     rho4 = proj.transpose(0, 3, 1, 4, 2).reshape(-1, 4, 4)
     if not np.all(np.isfinite(rho4)):
         raise FloatingPointError("oracle state overflowed to non-finite values")
     nbar = np.sum(pops @ np.arange(float(fock.dim)), axis=-1)
     trace_err = np.abs(np.sum(pops, axis=(1, 2)) - 1.0)
     return (entanglement.wootters_concurrence(rho4),
-            entanglement.linear_entropy_general(rho4), nbar, trace_err)
-
-
-def project_two_qubit(rho: np.ndarray, alpha_plus: complex, alpha_minus: complex,
-                      cfg: FockConfig) -> np.ndarray:
-    """Project the field blocks rho[a, b] onto the two-branch field basis.
-
-    The basis is |up> = |alpha_plus> and the Gram-Schmidt complement of
-    |alpha_minus>; output index convention matches the closed-form
-    embedding (row = 2*field + atom).  When the two branches coincide the
-    |down> row/column is identically zero.
-    """
-    basis = _branch_basis(alpha_plus, alpha_minus, cfg)
-    return np.einsum("fn,abnm,gm->fagb", basis.conj(), rho, basis).reshape(4, 4)
+            np.maximum(1.0 - purity, 0.0), nbar, trace_err)
 
 
 def _phi(z):
@@ -332,8 +314,8 @@ def dense_generator(spec: SuperopSpec, cfg: FockConfig) -> np.ndarray:
     N = cfg.dim
     if N > DENSE_GUARD:
         raise DimensionGuard(f"dense superoperator guard: N={N} > {DENSE_GUARD}")
-    a = annihilation(N)
-    nh = number_op(N)
+    a = np.diag(np.sqrt(np.arange(1.0, N)), 1)
+    nh = np.diag(np.arange(float(N)))
     I = np.eye(N)
     G = (spec.c_m * np.kron(a, a) + spec.c_r * np.kron(nh, I)
          + spec.c_l * np.kron(I, nh) + spec.c_s * np.eye(N * N))

@@ -110,18 +110,6 @@ def derive_params(p: ModelParams) -> DerivedParams:
     )
 
 
-def dressed_transform(theta: float) -> np.ndarray:
-    """Rotation taking bare amplitudes (e, g) to dressed amplitudes (0, 1).
-
-    Rows are (cos t/2, sin t/2) and (-sin t/2, cos t/2).
-    """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    return np.array([[c, s], [-s, c]], dtype=complex)
-
-
 #: Largest accepted Fock truncation; one oracle state at nmax = 500 is 16 MB.
 NMAX_LIMIT = 500
 

@@ -1,0 +1,36 @@
+"""Scalar references the tests hold the library against."""
+
+import numpy as np
+
+from drivenjc import liouville
+from drivenjc.analytic import TAU_DEGENERACY, AnalyticSnapshot
+
+
+def two_qubit_density(s: AnalyticSnapshot) -> np.ndarray:
+    """4x4 density matrix over {|up>,|down>} x {|0>,|1>}.
+
+    Index convention: row = 2*field + atom, field in {up=0, down=1}.
+    The dressed |1> branch occupies tau|up> + sqrt(1-|tau|^2)|down>; when
+    |tau| = 1 the two branches coincide and the |down> components are set
+    to zero (rank-deficient embedding).
+    """
+    w2 = 1.0 - abs(s.tau) ** 2
+    w = np.sqrt(w2) if w2 > TAU_DEGENERACY else 0.0
+    u = np.array([1.0, 0.0], dtype=complex)        # field vector of |up>
+    v = np.array([s.tau, w], dtype=complex)        # field vector of branch 1
+    rho = np.zeros((4, 4), dtype=complex)
+    coh = s.c0 * np.conj(s.c1) * s.f
+    for F in range(2):
+        for G in range(2):
+            rho[2 * F + 0, 2 * G + 0] += abs(s.c0) ** 2 * u[F] * np.conj(u[G])
+            rho[2 * F + 1, 2 * G + 1] += abs(s.c1) ** 2 * v[F] * np.conj(v[G])
+            rho[2 * F + 0, 2 * G + 1] += coh * u[F] * np.conj(v[G])
+            rho[2 * F + 1, 2 * G + 0] += np.conj(coh) * v[F] * np.conj(u[G])
+    return rho
+
+
+def project_two_qubit(rho, alpha_plus, alpha_minus, cfg) -> np.ndarray:
+    """Field blocks rho[a, b] projected onto the oracle's two-branch basis,
+    in the index convention of `two_qubit_density`."""
+    basis = liouville._branch_basis(alpha_plus, alpha_minus, cfg)
+    return np.einsum("fn,abnm,gm->fagb", basis.conj(), rho, basis).reshape(4, 4)

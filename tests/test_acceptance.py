@@ -13,6 +13,8 @@ import pytest
 
 from drivenjc import analytic, entanglement, liouville, model
 
+from _reference import two_qubit_density
+
 
 def report(name: str, ok: bool, detail: str = "") -> None:
     tail = f" ({detail})" if detail else ""
@@ -57,7 +59,7 @@ def test_criterion_2_lossless_maximum():
     expected = math.sqrt(1.0 - math.exp(-4.0))
     dev_closed = abs(c - expected)
     c_wootters = entanglement.wootters_concurrence(
-        analytic.two_qubit_density(s))
+        two_qubit_density(s))
     dev_wootters = abs(c - c_wootters)
     report("criterion 2: lossless concurrence maximum",
            dev_closed < 1e-9 and dev_wootters < 1e-10,

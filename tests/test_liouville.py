@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from drivenjc import liouville as lv
 from drivenjc.entanglement import linear_entropy_general, wootters_concurrence
 from drivenjc.integrator import StepSizeUnderflow, rk45
 from drivenjc.model import ModelParams, derive_params
+
+from _reference import project_two_qubit, two_qubit_density
 
 
 CFG6 = lv.FockConfig(nmax=6)
@@ -147,7 +150,7 @@ class TestLindbladRHS:
         rho[0, 0, 1, 1] = 1.0  # atom 0, field |1><1|
         k = 0.37
         out = to_joint(lindblad_rhs(0.0, rho, k))
-        nfull = np.kron(np.eye(2), lv.number_op(N))
+        nfull = np.kron(np.eye(2), np.diag(np.arange(float(N))))
         dn_dt = np.trace(out @ nfull).real
         assert dn_dt == pytest.approx(-2 * k, rel=1e-12)
 
@@ -168,7 +171,7 @@ class TestLindbladRHS:
         Om = rng.normal()
         n = np.arange(float(N))
         H = np.diag(np.concatenate([Om * (n + 1.0), -Om * n]))
-        a = np.kron(np.eye(2), lv.annihilation(N))
+        a = np.kron(np.eye(2), np.diag(np.sqrt(np.arange(1.0, N)), 1))
         nh = a.conj().T @ a
         dense = (-1j * (H @ rho - rho @ H)
                  + k * (2.0 * a @ rho @ a.conj().T - nh @ rho - rho @ nh))
@@ -206,7 +209,7 @@ class TestIntegrate:
         cfg = lv.FockConfig(nmax=14)
         k, t, alpha = 2e-3, 150.0, 1.0
         st = state_at(0.0, initial_state(alpha, cfg), k, t)
-        nfull = np.kron(np.eye(2), lv.number_op(cfg.dim))
+        nfull = np.kron(np.eye(2), np.diag(np.arange(float(cfg.dim))))
         nbar = np.trace(to_joint(st) @ nfull).real
         assert nbar == pytest.approx(alpha**2 * math.exp(-2 * k * t), abs=1e-8)
         vt = lv.coherent_vector(alpha * math.exp(-k * t), cfg)
@@ -420,7 +423,7 @@ class TestSuperoperators:
     def test_dense_generator_left_multiplication(self):
         spec = lv.SuperopSpec(c_m=0.0, c_r=0.7, c_l=0.0)
         g = lv.dense_generator(spec, CFG6)
-        nh = lv.number_op(7)
+        nh = np.diag(np.arange(7.0))
         np.testing.assert_allclose(g, 0.7 * np.kron(nh, np.eye(7)), atol=1e-15)
 
     def test_dense_commutators(self):
@@ -436,8 +439,8 @@ class TestSuperoperators:
         x = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
         spec = lv.generator(2e-3, 1e-3, 0, 1)
         g = lv.dense_generator(spec, CFG6)
-        a = lv.annihilation(7)
-        nh = lv.number_op(7)
+        a = np.diag(np.sqrt(np.arange(1.0, 7)), 1)
+        nh = np.diag(np.arange(7.0))
         direct = (spec.c_m * (a @ x @ a.conj().T) + spec.c_r * (nh @ x)
                   + spec.c_l * (x @ nh) + spec.c_s * x)
         np.testing.assert_allclose((g @ x.ravel()).reshape(7, 7), direct,
@@ -488,7 +491,7 @@ class TestTruncationConvergence:
         for nmax in (20, 25):
             cfg = lv.FockConfig(nmax=nmax)
             st = state_at(d.Omega_eff, initial_state(1.0, cfg), p.kappa, 100.0)
-            nfull = np.kron(np.eye(2), lv.number_op(cfg.dim))
+            nfull = np.kron(np.eye(2), np.diag(np.arange(float(cfg.dim))))
             results.append(np.trace(to_joint(st) @ nfull).real)
         assert abs(results[0] - results[1]) < 1e-8
 
@@ -496,7 +499,7 @@ class TestTruncationConvergence:
 class TestOracleSeries:
     def test_matches_scalar_projection(self):
         # the batched basis, projection and Wootters against
-        # project_two_qubit and the scalar concurrence, sample by sample
+        # a per-sample einsum projection and the scalar concurrence
         p = ModelParams(omega=2.0, omega0=1.9, omega_c=0.2, g=0.01, lam=0.2,
                         kappa=2e-3, alpha=1.3 - 0.4j, c0=0.6, c1=0.8)
         d = derive_params(p)
@@ -509,12 +512,28 @@ class TestOracleSeries:
         s = an.evolve(p, d, times)
         n = np.arange(float(cfg.dim))
         for i, st in enumerate(states):
-            rho4 = lv.project_two_qubit(st, s.alpha_plus[i], s.alpha_minus[i], cfg)
+            rho4 = project_two_qubit(st, s.alpha_plus[i], s.alpha_minus[i], cfg)
             assert abs(conc[i] - wootters_concurrence(rho4)) < 1e-14
             assert abs(entr[i] - linear_entropy_general(rho4)) < 1e-14
             pops = np.einsum("aann->n", st).real
             assert abs(nbar[i] - pops @ n) < 1e-14
             assert abs(terr[i] - abs(pops.sum() - 1.0)) < 1e-14
+
+    def test_only_concurrence_reads_the_closed_form(self, monkeypatch):
+        # the closed-form amplitudes set the concurrence's projection basis;
+        # linear entropy, photon number and trace come from the blocks alone
+        p = ModelParams(omega=2.0, omega0=1.9, omega_c=0.2, g=0.01, lam=0.2,
+                        kappa=2e-3, alpha=1.3 - 0.4j, c0=0.6, c1=0.8)
+        d = derive_params(p)
+        grid = 0.0, 200.0, 9
+        exact = lv.oracle_series(p, d, *grid, 24)
+        evolve = an.evolve
+        monkeypatch.setattr(an, "evolve", lambda p, d, t: evolve(
+            p, dataclasses.replace(d, Omega_eff=d.Omega_eff * (1 + 1e-3)), t))
+        skewed = lv.oracle_series(p, d, *grid, 24)
+        assert np.any(skewed[0] != exact[0])
+        for got, want in zip(skewed[1:], exact[1:]):
+            np.testing.assert_array_equal(got, want)
 
     def test_no_samples(self):
         p = ModelParams(omega=2.0, omega0=1.9, omega_c=0.0, g=0.01, lam=0.0,
@@ -540,5 +559,5 @@ def test_project_two_qubit_matches_embedding():
     cfg = lv.FockConfig(nmax=20)
     st = state_at(d.Omega_eff, initial_state(1.0, cfg), p.kappa, 80.0)
     s = an.evolve(p, d, 80.0)
-    got = lv.project_two_qubit(st, s.alpha_plus, s.alpha_minus, cfg)
-    np.testing.assert_allclose(got, an.two_qubit_density(s), atol=1e-7)
+    got = project_two_qubit(st, s.alpha_plus, s.alpha_minus, cfg)
+    np.testing.assert_allclose(got, two_qubit_density(s), atol=1e-7)

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +8,6 @@ from drivenjc.model import (
     ModelParams,
     derive_params,
     dispersive_ratio,
-    dressed_transform,
 )
 
 
@@ -85,34 +83,6 @@ class TestModelParamsValidation:
     def test_unnormalized_amplitudes_rejected(self):
         with pytest.raises(ValueError):
             params(c0=1.0, c1=1.0)
-
-
-class TestDressedTransform:
-    def test_identity_at_zero(self):
-        np.testing.assert_allclose(dressed_transform(0.0), np.eye(2), atol=1e-15)
-
-    def test_symmetric_mixing(self):
-        u = dressed_transform(math.pi / 2)
-        r = 1 / math.sqrt(2)
-        np.testing.assert_allclose(u, [[r, r], [-r, r]], atol=1e-15)
-
-    def test_driven_angle_on_excited_state(self):
-        u = dressed_transform(0.231091)
-        out = u @ np.array([1.0, 0.0])
-        # bare excited state picks up amplitudes (cos t/2, -sin t/2)
-        assert out[0] == pytest.approx(math.cos(0.231091 / 2), abs=1e-12)
-        assert out[1] == pytest.approx(-math.sin(0.231091 / 2), abs=1e-12)
-        assert abs(out[0]) == pytest.approx(0.993335, abs=5e-6)
-        assert abs(out[1]) == pytest.approx(0.115292, abs=5e-6)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            dressed_transform(float("nan"))
-
-    @given(st.floats(-10.0, 10.0))
-    def test_unitary(self, theta):
-        u = dressed_transform(theta)
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
 
 
 class TestDispersiveRatio:
