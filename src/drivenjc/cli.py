@@ -418,8 +418,9 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + name.replace("_", "-"), dest=_key(name),
                            help=helptext)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--output",
-                       help="output path (default stdout / cwd for figs)")
+        if command not in ("params", "verify"):
+            p.add_argument("--output",
+                           help="output path (default stdout / cwd for figs)")
     parsers["timeseries"].add_argument("--oracle", action="store_true",
                                        help="add Lindblad-integrated columns")
     parsers["sweep2d"].add_argument("--axis1", required=True, help="name:min:max")
@@ -454,8 +455,8 @@ def main(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):
             return COMMANDS[args.command][0](args)
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ArithmeticError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

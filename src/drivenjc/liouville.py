@@ -35,11 +35,6 @@ VERIFY_SEED = 1234
 #: Bounds of DisentanglingReport.passed on the pairwise and dyad errors.
 PAIRWISE_TOL = 1e-8
 DYAD_TOL = 1e-10
-#: Bytes of propagators `integrate` holds at once: it carries as many
-#: diagonals |n - m| through the samples in one pass as this admits (at
-#: least one).  Kept small: at nmax 20-40 the propagators would otherwise
-#: be the largest arrays of an oracle run.
-PROPAGATOR_BYTES = 3 << 17
 #: Diagonal layout of `integrate`: block (a, b) and whether k = m - n >= 0,
 #: per class and column, for class 0 (rho_00 and rho_11 with k >= 0) and
 #: class 1 (rho_01, both signs of k).  The rest of the Hermitian state is
@@ -151,72 +146,64 @@ def _make_rhs(spec: SuperopSpec, N: int):
 
 def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,
               dt: float, count: int):
-    """Yield (i, part) pairs; the parts sum to the blocks at t_start + i dt.
+    """Yield the (2, 2, N, N) blocks at t_start + i dt, for i < count.
 
     Omega is the dispersive shift, rho0 the (2, 2, N, N) block array at
     t = 0, which must be Hermitian (rho_ba = rho_ab^dagger); sample 0 steps
-    from t = 0 by t_start >= 0, each later one by dt >= 0, and i < count.
+    from t = 0 by t_start >= 0, each later one by dt >= 0.
     Every block generator keeps the offset k = m - n, so each diagonal of
-    rho_ab evolves on its own, under d0 + B with d0 a scalar and B upper
+    rho_ab evolves on its own, under d0 + B_k with d0 a scalar and B_k upper
     bidiagonal (diagonal (c_r + c_l) j, superdiagonal
-    c_m sqrt((n + 1)(m + 1))).  B depends only on |k| and on whether a = b.
-    The flow keeps rho Hermitian, so only the diagonals k >= 0 of rho_00
-    and rho_11 and all of rho_01 are propagated, and each part is written
-    with its conjugate mirror; a step takes one expm of the stacked B per
-    step length.  The diagonals run through all samples in chunks of |k|
-    whose propagators, for both step lengths, fit PROPAGATOR_BYTES, each
-    chunk yielding one part per sample; with t_start = 0 one chunk holds
-    them all up to N = 23.  Fock levels above the support of rho0 stay
-    empty, since photon loss only lowers n, and are not propagated.
+    c_m sqrt((j + 1)(j + |k| + 1))).  B_k depends only on |k| and on whether
+    a = b, and is D_k B_0 D_k^-1 on its levels, D_k = 1 / sqrt(C(j + |k|, j));
+    B_0 is upper triangular, so the diagonals are carried divided by D, and
+    a step of length h is one product with expm(B_0 h) per class, over all
+    diagonals, times the phase exp(d0 h).  The flow keeps rho Hermitian, so
+    only the diagonals k >= 0 of rho_00 and rho_11 and all of rho_01 are
+    propagated, and each state is written with its conjugate mirror.  Fock
+    levels above the support of rho0 stay empty, since photon loss only
+    lowers n, and are not propagated.
     """
     if t_start < 0 or dt < 0:
         raise ValueError(f"t_start and dt must be >= 0, got {t_start}, {dt}")
     steps = [t_start, *[dt] * (count - 1)][:count]
-    moving = {h for h in steps[:2] if h > 0}
     N = rho0.shape[-1]
     support = np.flatnonzero(np.any(rho0 != 0, axis=(0, 1, 2)))
-    n_eff = support[-1] + 1 if support.size else 1
+    L = support[-1] + 1 if support.size else 1
     spec = generator(Omega, kappa, _BLOCK_A, _BLOCK_B)
     c_m, c_r, c_l, c_s = (np.broadcast_to(c, _BLOCK_A.shape)
                           for c in (spec.c_m, spec.c_r, spec.c_l, spec.c_s))
-    # d0 per class and column: c_l |k| + c_s above the diagonal, c_r |k| + c_s
-    # below it
-    d0_slope = np.where(_UPPER, c_l, c_r)
-    q0 = 0
-    while q0 < n_eff:
-        L = n_eff - q0
-        # an (L, L) propagator per |k|, class and moving step
-        width = PROPAGATOR_BYTES // max(32 * L * L * len(moving), 1)
-        q = np.arange(q0, min(n_eff, q0 + max(width, 1)))
-        q0 += len(q)
-        j = np.arange(L)
-        # B[class, |k|], its coefficients from the class's first column
-        B = np.zeros((2, len(q), L, L), dtype=complex)
-        B[..., j, j] = (c_r + c_l)[..., 0] * j
-        B[..., j[:-1], j[1:]] = c_m[..., 0] * np.sqrt(
-            (j[:-1] + 1.0) * (j[:-1] + q[:, None] + 1.0))
-        props = {h: (expm(B * h), np.exp((d0_slope * q[:, None, None] + c_s) * h))
-                 for h in moving}
-        # diagonal layout z[class, |k|, j, column]
-        jj = j[:, None]
-        qq = q[:, None, None]
-        n = np.where(_UPPER, jj, jj + qq)
-        m = np.where(_UPPER, jj + qq, jj)
-        valid = np.flatnonzero(np.broadcast_to(jj + qq < n_eff, n.shape))
-        flat = (((2 * _BLOCK_A + _BLOCK_B) * N + n) * N + m).reshape(-1)[valid]
-        mirror = (((2 * _BLOCK_B + _BLOCK_A) * N + m) * N + n).reshape(-1)[valid]
-        z = np.zeros(n.shape, dtype=complex)
-        z.reshape(-1)[valid] = rho0.reshape(-1)[flat]
-        for i, h in enumerate(steps):
-            if h > 0:
-                prop, phase = props[h]
-                np.multiply(phase, prop @ z, out=z)
-            values = z.reshape(-1)[valid]
-            part = np.zeros(rho0.size, dtype=complex)
-            # the mirror first, so that values hold on the main diagonals
-            part[mirror] = values.conj()
-            part[flat] = values
-            yield i, part.reshape(rho0.shape)
+    # B_0 per class, its coefficients from the class's first column
+    j = np.arange(L)
+    B = np.zeros((2, L, L), dtype=complex)
+    B[:, j, j] = (c_r + c_l)[:, 0, :, 0] * j
+    B[:, j[:-1], j[1:]] = c_m[:, 0, :, 0] * (j[:-1] + 1.0)
+    # diagonal layout y[class, j, |k|, column]; d0 per class and column is
+    # c_l |k| + c_s above the diagonal, c_r |k| + c_s below it
+    jj, kk = j[:, None, None], j[:, None]
+    d0 = np.where(_UPPER, c_l, c_r) * kk + c_s
+    props = {h: (expm(B * h), np.exp(d0 * h))
+             for h in set(steps[:2]) if h > 0}
+    n = np.where(_UPPER, jj, jj + kk)
+    m = np.where(_UPPER, jj + kk, jj)
+    valid = np.flatnonzero(np.broadcast_to(jj + kk < L, n.shape))
+    flat = (((2 * _BLOCK_A + _BLOCK_B) * N + n) * N + m).reshape(-1)[valid]
+    mirror = (((2 * _BLOCK_B + _BLOCK_A) * N + m) * N + n).reshape(-1)[valid]
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(2 * L)])
+    D = np.exp(0.5 * (log_fact[jj] + log_fact[kk] - log_fact[jj + kk]))
+    D = np.broadcast_to(D, n.shape).reshape(-1)[valid]
+    y = np.zeros(n.shape, dtype=complex)
+    y.reshape(-1)[valid] = rho0.reshape(-1)[flat] / D
+    for h in steps:
+        if h > 0:
+            prop, phase = props[h]
+            y = phase * (prop @ y.reshape(2, L, -1)).reshape(y.shape)
+        values = D * y.reshape(-1)[valid]
+        state = np.zeros(rho0.size, dtype=complex)
+        # the mirror first, so that values hold on the main diagonals
+        state[mirror] = values.conj()
+        state[flat] = values
+        yield state.reshape(rho0.shape)
 
 
 def _branch_basis(alpha_plus, alpha_minus, cfg: FockConfig) -> np.ndarray:
@@ -253,11 +240,11 @@ def oracle_series(p: ModelParams, d: DerivedParams, t_start: float,
     proj = np.zeros((steps, 2, 2, 2, 2), dtype=complex)
     pops = np.zeros((steps, 2, fock.dim))
     purity = np.zeros(steps)
-    for i, part in integrate(d.Omega_eff, p.kappa, rho0, t_start, dt, steps):
-        proj[i] += basis[i].conj() @ part @ basis[i].T
-        pops[i] += np.einsum("aann->an", part).real
-        # the parts have disjoint supports, so their squared norms add up
-        purity[i] += np.vdot(part, part).real
+    for i, rho in enumerate(integrate(d.Omega_eff, p.kappa, rho0, t_start, dt,
+                                      steps)):
+        proj[i] = basis[i].conj() @ rho @ basis[i].T
+        pops[i] = np.einsum("aann->an", rho).real
+        purity[i] = np.vdot(rho, rho).real
     rho4 = proj.transpose(0, 3, 1, 4, 2).reshape(-1, 4, 4)
     if not np.all(np.isfinite(rho4)):
         raise FloatingPointError("oracle state overflowed to non-finite values")

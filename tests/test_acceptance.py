@@ -199,8 +199,7 @@ def test_criterion_8_integrator_invariants():
         fock = liouville.FockConfig(nmax=liouville.default_nmax(alpha))
         state = liouville.initial_blocks(
             c0, c1, liouville.coherent_vector(alpha, fock))
-        final = sum(part for _, part in
-                    liouville.integrate(Omega, kappa, state, t_end, 0.0, 1))
+        final, = liouville.integrate(Omega, kappa, state, t_end, 0.0, 1)
         # joint matrix over (atom, Fock level) assembled from the blocks
         rho = final.transpose(0, 2, 1, 3).reshape(2 * fock.dim, 2 * fock.dim)
         worst_trace = max(worst_trace, abs(np.trace(rho).real - 1.0))

@@ -217,6 +217,33 @@ class TestInputContract:
         assert main(["timeseries", "--alpha-re", "100"]) == 0
         assert capsys.readouterr().out.count("\n") > 600
 
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 2.98 GiB for an array"),
+         "error: Unable to allocate 2.98 GiB for an array\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ])
+    def test_memory_error_exits_3(self, exc, message, capsys, monkeypatch):
+        # an allocation that fails is a numerical failure, not a verify
+        # failure (exit 1) with a traceback
+        def evolve(*args):
+            raise exc
+
+        monkeypatch.setattr(cli.analytic, "evolve", evolve)
+        assert main(["timeseries", "--steps", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
+    @pytest.mark.parametrize("command", ["params", "verify"])
+    def test_output_only_where_csv_is_written(self, command, tmp_path, capsys):
+        # params and verify print to stdout; --output is an unknown flag there
+        out = tmp_path / "report.txt"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--output", str(out)])
+        assert exc.value.code == 2
+        assert "--output" in capsys.readouterr().err
+        assert not out.exists()
+
 
 _FLOATS = [name for name, kind, *_ in OPTIONS if kind is float]
 _VALUES = ["0", "1e300", "-1e300", "inf", "-inf", "nan"]
