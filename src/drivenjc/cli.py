@@ -184,18 +184,31 @@ def _require_finite(values, degenerate=False):
     return values
 
 
-def _write_csv(output, meta: list[str], header: list[str], rows) -> None:
+def _write_csv(output, meta: list[str], header: list[str], rows,
+               axes=()) -> None:
     """Write metadata, header and `rows` (2-D) with every cell as `%.17g`.
 
-    One template formats the whole table in a single `%` operation; its
-    bytes equal per-cell `format(v, ".17g")`, which shares the conversion.
+    With `axes` (1-D point arrays, the first outermost), the table is their
+    product grid: each row is one grid point's coordinates followed by its
+    row of `rows`.  Each axis point is formatted once into the template as
+    literal text: the innermost axis by one `%` pass that keeps the value
+    placeholders (escaped as `%%`), each outer point by one `replace` that
+    prefixes a copy of the inner block.  One `%` then fills only the cells
+    of `rows`.  The bytes equal per-cell `format(v, ".17g")` of the expanded
+    table, which shares the conversion.
     """
-    lines = [*meta, ",".join(header)]
-    nrows, ncol = rows.shape
-    if nrows:
-        template = "\n".join([",".join(["%.17g"] * ncol)] * nrows)
-        lines.append(template % tuple(rows.ravel().tolist()))
-    text = "\n".join(lines) + "\n"
+    line = ",".join(["%.17g"] * rows.shape[1])
+    if axes:
+        *outer, inner = axes
+        block = (("\n%.17g," + line.replace("%", "%%")) * len(inner)
+                 % tuple(inner.tolist()))
+        for points in reversed(outer):
+            block = "".join([block.replace("\n", "\n%.17g," % x)
+                             for x in points.tolist()])
+    else:
+        block = ("\n" + line) * rows.shape[0]
+    text = "\n".join([*meta, ",".join(header)])
+    text += block % tuple(rows.ravel().tolist()) + "\n"
     if output is None:
         sys.stdout.write(text)
     else:
@@ -216,11 +229,13 @@ def _observables(p: model.ModelParams, d: model.DerivedParams, t) -> dict:
 
 
 def _grid(cfg: dict, axes, counts, observable: str, columns: dict, t_eval):
-    """Header and rows of `observable` on the product grid of `axes`.
+    """Header, axis points and values of `observable` on the product grid of
+    `axes`, as `_write_csv` takes them.
 
     Each axis (header, low, high) takes `counts` points along one array
-    dimension, and each column its option overrides along the last one.
-    Degenerate points give NaN cells, counted in a warning on stderr.
+    dimension, and each column its option overrides along the last one; the
+    values are one row per grid point, the last axis fastest.  Degenerate
+    points give NaN cells, counted in a warning on stderr.
     """
     ndim = len(axes) + 1
     points = [np.linspace(lo, hi, n) for (_, lo, hi), n in zip(axes, counts)]
@@ -241,9 +256,8 @@ def _grid(cfg: dict, axes, counts, observable: str, columns: dict, t_eval):
         print(f"warning: {ndegenerate} of {value.size} cells "
               f"degenerate (|delta2| < {model.EPS_DIV:g}), written as NaN",
               file=sys.stderr)
-    coords = [x.ravel() for x in np.meshgrid(*points, indexing="ij")]
-    rows = np.column_stack([*coords, value.reshape(-1, len(cols))])
-    return [name for name, _, _ in axes] + [observable + s for s in columns], rows
+    header = [name for name, _, _ in axes] + [observable + s for s in columns]
+    return header, points, value.reshape(-1, len(cols))
 
 
 def _parse_axis(text: str):
@@ -312,13 +326,16 @@ def cmd_timeseries(args) -> int:
 def cmd_sweep2d(args) -> int:
     cfg = build_config(args)
     axes = [_parse_axis(args.axis1), _parse_axis(args.axis2)]
+    if axes[0][0] == axes[1][0]:
+        raise ValueError(f"axis1 and axis2 both sweep {axes[0][0]!r}")
     counts = _parse_grid(args.grid)
     t_eval = (_default_t_eval(cfg) if args.t_eval is None
               else _number("t_eval", float, args.t_eval))
-    header, rows = _grid(cfg, axes, counts, "concurrence", {"": {}}, t_eval)
+    header, points, values = _grid(cfg, axes, counts, "concurrence", {"": {}},
+                                   t_eval)
     meta = _metadata_lines(cfg, axis1=args.axis1, axis2=args.axis2,
                            grid="{}x{}".format(*counts), t_eval=t_eval)
-    _write_csv(args.output, meta, header, rows)
+    _write_csv(args.output, meta, header, values, points)
     return EXIT_OK
 
 
@@ -331,12 +348,13 @@ def cmd_fig(args) -> int:
         else:
             counts, t_eval = _parse_grid(args.grid), _default_t_eval(cfg)
             extra = dict(grid="{}x{}".format(*counts), t_eval=t_eval)
-        header, rows = _grid(cfg, axes, counts, observable, columns, t_eval)
+        header, points, values = _grid(cfg, axes, counts, observable, columns,
+                                       t_eval)
         meta = _metadata_lines(cfg, **extra)
         if name in _FIG_NOTES:
             meta.insert(0, _FIG_NOTES[name])
         os.makedirs(outdir, exist_ok=True)
-        _write_csv(os.path.join(outdir, name), meta, header, rows)
+        _write_csv(os.path.join(outdir, name), meta, header, values, points)
     return EXIT_OK
 
 

@@ -16,8 +16,9 @@ class InvalidDensityMatrix(ValueError):
     """Input is not a density matrix within tolerance."""
 
 
-def _check_density(rho: np.ndarray) -> None:
-    """Raise unless every matrix on the last two axes is a density matrix."""
+def _check_density(rho: np.ndarray):
+    """`np.linalg.eigh(rho)`, the (eigenvalues, eigenvectors) of every matrix
+    on the last two axes; raise unless each is a density matrix."""
     rho = np.asarray(rho)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise InvalidDensityMatrix(f"expected square matrices, got {rho.shape}")
@@ -27,9 +28,11 @@ def _check_density(rho: np.ndarray) -> None:
     dev = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0), initial=0.0)
     if dev > DENSITY_TOL:
         raise InvalidDensityMatrix(f"trace deviates from 1 by {dev:.3e}")
-    lowest = np.linalg.eigvalsh(rho).min(initial=0.0)
+    evals, vecs = np.linalg.eigh(rho)
+    lowest = evals.min(initial=0.0)
     if lowest < -DENSITY_TOL:
         raise InvalidDensityMatrix(f"negative eigenvalue {lowest:.3e}")
+    return evals, vecs
 
 
 def wootters_concurrence(rho: np.ndarray):
@@ -46,8 +49,7 @@ def wootters_concurrence(rho: np.ndarray):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise InvalidDensityMatrix(f"expected 4x4 matrices, got {rho.shape}")
-    _check_density(rho)
-    evals, vecs = np.linalg.eigh(rho)
+    evals, vecs = _check_density(rho)
     X = vecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]
     tau = np.swapaxes(X, -1, -2) @ SPIN_FLIP @ X
     lam = np.linalg.svd(tau, compute_uv=False)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import re
 import signal
@@ -267,7 +268,8 @@ def _flags(values):
 def _check_exit_code_and_cells(argv, steps):
     """Run `argv` (figures into a temporary directory): the exit code is 0,
     2 or 3, and after 0 every output cell is finite except the NaN cells
-    the stderr warning counts, with `steps` rows in every time series."""
+    the stderr warning counts, every CSV cell is written as `%.17g`, and
+    every time series has `steps` rows."""
     command = argv[0]
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as outdir:
@@ -286,7 +288,9 @@ def _check_exit_code_and_cells(argv, steps):
         if command == "params":
             cells += [ln.rpartition("=")[2] for ln in lines]
             continue
-        cells += [c for ln in lines[1:] for c in ln.split(",")]
+        csv_cells = [c for ln in lines[1:] for c in ln.split(",")]
+        assert all(format(float(c), ".17g") == c for c in csv_cells)
+        cells += csv_cells
         if command not in ("sweep2d", "fig1"):
             assert len(lines) == steps + 1
     cells = np.array(cells, dtype=float)
@@ -381,6 +385,14 @@ class TestSweep2d:
         assert main(["sweep2d", "--axis1", "lambda:1:0",
                      "--axis2", "kappa:0:1"]) == 2
 
+    def test_same_axis_twice_exits_2(self, capsys):
+        # `lam` and `lambda` name one axis
+        assert main(["sweep2d", "--axis1", "lambda:0:1",
+                     "--axis2", "lam:0:0.5", "--grid", "3x2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: axis1 and axis2 both sweep 'lam'\n"
+
     def test_degenerate_cells_reported_on_stderr(self, capsys):
         # the sweep2d_degenerate golden case: lambda = 0 at omega = 1.9
         assert main(["sweep2d", "--omega", "1.9", "--axis1", "lambda:0:0.5",
@@ -467,10 +479,14 @@ _SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
 class TestCsvBytes:
     @pytest.mark.parametrize("to_file", [False, True])
     @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (1, 6), (61, 1),
-                                       (10201, 3)])
+                                       (10201, 3), (3, 1, 5, 2)])
     def test_matches_per_value_format(self, shape, to_file, tmp_path, capsys):
+        """A shape (rows, columns) is one table; a longer shape (*axis
+        lengths, columns) is the product grid of those axes, written through
+        the `axes` path and compared with its meshgrid-expanded table."""
+        *counts, ncol = shape
         rng = np.random.default_rng(shape[0] * 7 + shape[1])
-        size = shape[0] * shape[1]
+        size = math.prod(counts) * ncol
         values = np.concatenate([
             rng.standard_normal(size) * 10.0 ** rng.integers(-320, 307, size),
             rng.integers(-10**6, 10**6, size).astype(float),
@@ -478,12 +494,18 @@ class TestCsvBytes:
         rng.shuffle(values)
         values = values[:size]
         values[:len(_SPECIAL)] = _SPECIAL[:size]
-        rows = values.reshape(shape)
+        rows = values.reshape(-1, ncol)
+        axes = [rng.standard_normal(n) * 10.0 ** rng.integers(-320, 307, n)
+                for n in counts] if len(counts) > 1 else []
+        if axes:
+            axes[0][:3] = [-0.0, 5e-324, 1e300]
+        table = np.column_stack([
+            *(x.ravel() for x in np.meshgrid(*axes, indexing="ij")), rows])
         meta = ["# note: x", "# kappa = 0.001"]
-        header = [f"c{j}" for j in range(shape[1])]
-        want = _per_value_csv(meta, header, rows)
+        header = [f"c{j}" for j in range(table.shape[1])]
+        want = _per_value_csv(meta, header, table)
         out = tmp_path / "out.csv" if to_file else None
-        cli._write_csv(out, meta, header, rows)
+        cli._write_csv(out, meta, header, rows, axes)
         if to_file:
             assert out.read_bytes() == want.encode()
         else:
