@@ -1,7 +1,7 @@
 """Dissipative dynamics and entanglement of a driven atom in a lossy cavity.
 
 The Fock-space oracle is the submodule `drivenjc.liouville`; it is not
-imported here, because it loads scipy.
+imported here, so the closed-form path starts without it.
 """
 
 from .model import (

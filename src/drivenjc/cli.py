@@ -3,8 +3,9 @@
 Subcommands: params | timeseries | sweep2d | fig1 | fig2 | fig3 | fig4 | verify.
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 numerical
 failure.  Option precedence: command-line flag > config file > built-in
-default.  The Fock-space oracle (`liouville`, and with it scipy) is imported
-only by the commands that run it: `timeseries --oracle` and `verify`.
+default.  The Fock-space oracle (`liouville`) is imported only by the
+commands that run it: `timeseries --oracle` and `verify`.  No command loads
+scipy.
 """
 
 from __future__ import annotations

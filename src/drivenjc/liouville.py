@@ -4,7 +4,8 @@ Everything the closed-form path claims is re-derived here by independent
 means: the master equation is propagated exactly in a truncated Fock
 space, by matrix exponentials of its invariant diagonals, and the
 disentangled superoperator exponentials are checked against dense matrix
-exponentials of the vectorized generators and against rk45.
+exponentials of the vectorized generators and against rk45.  Both
+exponentials are this module's numpy `expm`, so the oracle loads no scipy.
 
 The dressed atom never flips in the dispersive model, so the joint state
 is held as its four field blocks rho[a, b] = <a| rho |b>, an array of
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import analytic, entanglement
 from .integrator import rk45
@@ -42,6 +42,23 @@ DYAD_TOL = 1e-10
 _BLOCK_A = np.array([[0, 1], [0, 0]])[:, None, None, :]
 _BLOCK_B = np.array([[0, 1], [1, 1]])[:, None, None, :]
 _UPPER = np.array([[True, True], [True, False]])[:, None, None, :]
+#: Pade degree m of `expm` -> (theta_m, the largest 1-norm it takes without
+#: scaling, and the coefficients b_0..b_m of its approximant), from Higham,
+#: SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3 and eq. (2.3).
+_PADE = {
+    3: (1.495585217958292e-2, (120., 60., 12., 1.)),
+    5: (2.539398330063230e-1, (30240., 15120., 3360., 420., 30., 1.)),
+    7: (9.504178996162932e-1, (17297280., 8648640., 1995840., 277200.,
+                               25200., 1512., 56., 1.)),
+    9: (2.097847961257068e0, (17643225600., 8821612800., 2075673600.,
+                              302702400., 30270240., 2162160., 110880.,
+                              3960., 90., 1.)),
+    13: (5.371920351148152e0, (64764752532480000., 32382376266240000.,
+                               7771770303897600., 1187353796428800.,
+                               129060195264000., 10559470521600.,
+                               670442572800., 33522128640., 1323241920.,
+                               40840800., 960960., 16380., 182., 1.)),
+}
 
 
 class TruncationError(ValueError):
@@ -142,6 +159,54 @@ def _make_rhs(spec: SuperopSpec, N: int):
     n = np.arange(float(N))
     diag = spec.c_r * n[:, None] + spec.c_l * n + spec.c_s
     return lambda _t, X: diag * X + spec.c_m * _lower(X)
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """Complex matrix exponential of each matrix of the stack A (..., n, n).
+
+    Pade scaling and squaring (Higham 2005): the lowest degree m whose
+    theta_m bounds the largest 1-norm of the stack, else m = 13 on A / 2^s.
+    When it squares an upper triangular stack, each square has its
+    diagonal and superdiagonal rewritten from their exact values: exp(a_jj)
+    and a_j,j+1 times the divided difference of exp over a_jj, a_j+1,j+1
+    (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009), Code
+    Fragment 2.1).
+    """
+    A = np.asarray(A, dtype=complex)
+    norm = np.max(np.sum(np.abs(A), axis=-2), initial=0.0)
+    m = next((m for m, (theta, _) in _PADE.items() if norm <= theta), 13)
+    s = (max(0, math.ceil(math.log2(norm / _PADE[13][0])))
+         if m == 13 and np.isfinite(norm) else 0)
+    X = A * 2.0**-s
+    b = _PADE[m][1]
+    # even powers I, X^2, ..., X^(m-1); for m = 13 up to X^6, which then
+    # carries the coefficients b_8.. of the higher powers
+    P = [np.eye(A.shape[-1]), X @ X]
+    while len(P) < (m // 2 + 1 if m < 13 else 4):
+        P.append(P[-1] @ P[1])
+    odd = sum(c * Pk for c, Pk in zip(b[1::2], P))
+    even = sum(c * Pk for c, Pk in zip(b[0::2], P))
+    if m == 13:
+        odd = odd + P[3] @ sum(c * Pk for c, Pk in zip(b[9::2], P[1:]))
+        even = even + P[3] @ sum(c * Pk for c, Pk in zip(b[8::2], P[1:]))
+    U = X @ odd
+    E = np.linalg.solve(even - U, even + U)
+    upper = s > 0 and not np.any(np.tril(A, -1))
+    j = np.arange(A.shape[-1])
+    for i in range(s, -1, -1):
+        if i < s:
+            E = E @ E
+        if upper:
+            d = A[..., j, j] * 2.0**-i
+            lo, hi = d[..., :-1], d[..., 1:]
+            # (exp(hi) - exp(lo)) / (hi - lo) from the larger exponent, so
+            # that neither factor overflows where the difference is finite
+            first = lo.real >= hi.real
+            big, small = np.where(first, lo, hi), np.where(first, hi, lo)
+            E[..., j[:-1], j[1:]] = (A[..., j[:-1], j[1:]] * 2.0**-i
+                                     * np.exp(big) * _phi(small - big))
+            E[..., j, j] = np.exp(d)
+    return E
 
 
 def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,

@@ -169,8 +169,9 @@ class TestInputContract:
         # an oracle grid before t = 0 or running backwards
         (["verify", "--t-start", "-1"], 2),
         (["verify", "--t-start", "100", "--t-end", "0"], 2),
-        # expm of a step of 5e299 overflows
-        (["timeseries", "--oracle", "--steps", "3", "--t-end", "1e300"], 3),
+        # kappa h = 5e309: the oracle's step generator B_0 h overflows
+        (["timeseries", "--oracle", "--steps", "3", "--kappa", "1e10",
+          "--t-end", "1e300"], 3),
         # |alpha| = 1 loses 1.9e-2 norm at nmax 3
         (["verify", "--nmax", "3"], 2),
         (["timeseries", "--t-start", "100", "--t-end", "0", "--steps", "3"], 2),
@@ -191,6 +192,17 @@ class TestInputContract:
         assert main(argv) == code
         assert capsys.readouterr().out == ""
         assert not any(tmp_path.iterdir())
+
+    def test_oracle_long_step_decays(self, tmp_path):
+        # a step of 5e299 at kappa = 1e-3 leaves the fully decayed state,
+        # which the exponential's exact diagonal keeps finite
+        out = tmp_path / "ts.csv"
+        assert main(["timeseries", "--oracle", "--steps", "3", "--t-end",
+                     "1e300", "--output", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert rows.shape == (3, 8) and np.all(np.isfinite(rows))
+        assert np.all(rows[:, header.index("concurrence_numeric")] == 0.0)
+        assert np.max(rows[:, header.index("trace_error")]) < 1e-15
 
     @pytest.mark.parametrize("argv", [
         ["timeseries", "--oracle", "--alpha-re", "100"],
@@ -568,11 +580,21 @@ class TestVerify:
         assert rc == 0
         assert "FAIL" not in out
 
-    def test_oracle_overflow_exits_3(self, capsys):
-        # expm of a step of 6.7e298 overflows: a numerical failure, which the
+    def test_oracle_overflow_exits_3(self, capsys, monkeypatch):
+        # a non-finite oracle state is a numerical failure, which the
         # stage-2 Wootters eigensolver used to report as invalid input
-        assert main(["verify", "--t-end", "1e300"]) == 3
-        assert "overflowed" in capsys.readouterr().err
+        monkeypatch.setattr(liouville, "expm",
+                            lambda A: np.full(A.shape, np.inf, dtype=complex))
+        assert main(["verify"]) == 3
+        assert "oracle state overflowed" in capsys.readouterr().err
+
+    def test_long_horizon_passes(self, capsys):
+        # steps of 6.7e298 decay the state fully; every check still holds
+        assert main(["verify", "--t-end", "1e300"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 7 and "FAIL" not in out
+        entropy = re.search(r"linear_entropy max_dev=(\S+)", out)
+        assert float(entropy.group(1)) < 1e-15
 
     def test_large_amplitude_passes(self, capsys):
         # the dyads are compared entry by entry, so the dyad stage's Fock
@@ -613,8 +635,11 @@ def _fresh_interpreter(args, **kwargs):
 
 
 _CLOSED_FORM_COMMANDS = """
-import sys
+import contextlib, io, sys
 from drivenjc import cli
+
+def loaded():
+    return [m for m in ("scipy", "drivenjc.liouville") if m in sys.modules]
 
 out = sys.argv[1]
 for argv in (["params"],
@@ -623,9 +648,14 @@ for argv in (["params"],
               "--grid", "3x3", "--output", out + "/sweep.csv"],
              *([fig, "--output", out] for fig in ("fig1", "fig2", "fig3", "fig4"))):
     assert cli.main(argv) == 0, argv
-print("loaded:", [m for m in ("scipy", "drivenjc.liouville") if m in sys.modules])
+print("loaded:", loaded())
 print("oracle exit:", cli.main(["timeseries", "--oracle", "--steps", "5",
                                 "--output", out + "/oracle.csv"]))
+print("loaded:", loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "--t-end", "20"])
+print("verify exit:", code)
+print("loaded:", loaded())
 """
 
 
@@ -635,7 +665,10 @@ class TestFreshProcess:
                                   stdout=subprocess.PIPE, text=True)
         out, _ = proc.communicate(timeout=120)
         assert proc.returncode == 0
-        assert out.splitlines()[-2:] == ["loaded: []", "oracle exit: 0"]
+        # the oracle and verify load liouville, and scipy by no route
+        assert out.splitlines()[-5:] == [
+            "loaded: []", "oracle exit: 0", "loaded: ['drivenjc.liouville']",
+            "verify exit: 0", "loaded: ['drivenjc.liouville']"]
         assert (tmp_path / "fig4.csv").is_file()
 
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")

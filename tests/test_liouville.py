@@ -313,6 +313,64 @@ class TestIntegrate:
             rk45(bad_rhs, np.ones(3, dtype=complex), 0.0, 1.0, 1e-8)
 
 
+def assert_matches_scipy(A):
+    want = expm(A)
+    got = lv.expm(A)
+    assert got.shape == want.shape
+    tol = 1e-13 * max(1.0, np.max(np.abs(want)))
+    assert np.max(np.abs(got - want)) <= tol
+
+
+def oracle_generators(Omega, kappa, h, nmax):
+    """The (2, L, L) stack B_0 h that `integrate` exponentiates for one step
+    of length h from the coherent field |1> (one B_0 per block class)."""
+    stacks, original = [], lv.expm
+
+    def capture(A):
+        stacks.append(A)
+        return original(A)
+
+    rho0 = initial_state(1.0, lv.FockConfig(nmax=nmax))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lv, "expm", capture)
+        states_at(Omega, rho0, kappa, 0.0, h, 2)
+    (B,) = stacks
+    return B
+
+
+class TestExpm:
+    # the Pade degree bounds theta_m, on both sides, and the squaring range
+    @pytest.mark.parametrize("norm", [
+        *(theta * side for theta, _ in lv._PADE.values() for side in (0.99, 1.01)),
+        50.0, 1e3])
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_random_stacks(self, norm, n):
+        rng = np.random.default_rng(n)
+        A = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+        A *= norm / np.max(np.sum(np.abs(A), axis=-2))
+        assert_matches_scipy(A)
+
+    @pytest.mark.parametrize("kappa_h", [1e-4, 5e-4, 1e-2, 1.0, 16.6, 1e3])
+    @pytest.mark.parametrize("nmax", [20, 37])
+    def test_oracle_bidiagonal_generators(self, kappa_h, nmax):
+        # upper bidiagonal B_0 h of both classes; without the exact diagonal
+        # and superdiagonal of each square, kappa h >= 16.6 misses 1e-13
+        kappa = 1e-3
+        B = oracle_generators(5e-3, kappa, kappa_h / kappa, nmax)
+        assert B.shape[0] == 2
+        assert not np.any(np.tril(B, -1)) and not np.any(np.triu(B, 2))
+        assert_matches_scipy(B)
+
+    @pytest.mark.parametrize("A", [
+        np.zeros((4, 4)), np.array([[2.5 - 1j]]), np.array([[-300.0]])])
+    def test_small_cases(self, A):
+        assert_matches_scipy(A)
+
+    def test_dense_generator(self):
+        spec = lv.generator(0.3, 0.5, *BLOCKS)
+        assert_matches_scipy(lv.dense_generator(spec, CFG6) * 500.0)
+
+
 class TestBlock:
     def test_product_state(self):
         cfg = lv.FockConfig(nmax=8)
