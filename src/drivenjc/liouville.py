@@ -42,6 +42,9 @@ DYAD_TOL = 1e-10
 _BLOCK_A = np.array([[0, 1], [0, 0]])[:, None, None, :]
 _BLOCK_B = np.array([[0, 1], [1, 1]])[:, None, None, :]
 _UPPER = np.array([[True, True], [True, False]])[:, None, None, :]
+#: log n! for n < 2 (NMAX_LIMIT + 1): the coherent amplitudes and the
+#: binomial weights D of `integrate` up to the largest accepted truncation
+_LOG_FACT = np.array([math.lgamma(n + 1.0) for n in range(2 * NMAX_LIMIT + 2)])
 #: Pade degree m of `expm` -> (theta_m, the largest 1-norm it takes without
 #: scaling, and the coefficients b_0..b_m of its approximant), from Higham,
 #: SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3 and eq. (2.3).
@@ -121,8 +124,8 @@ def coherent_vector(alpha, cfg: FockConfig) -> np.ndarray:
     n = np.arange(cfg.dim)
     r = np.abs(alpha)[..., None]
     # log-domain magnitudes to dodge overflow in alpha**n / sqrt(n!)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(cfg.dim)])
-    log_mag = -0.5 * r**2 + n * np.log(np.where(r > 0, r, 1.0)) - 0.5 * log_fact
+    log_mag = (-0.5 * r**2 + n * np.log(np.where(r > 0, r, 1.0))
+               - 0.5 * _LOG_FACT[:cfg.dim])
     vec = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha)[..., None])
     vec = np.where(r > 0, vec, n == 0)
     norm_loss = 1.0 - np.sum(np.abs(vec) ** 2, axis=-1)
@@ -223,11 +226,16 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,
     a = b, and is D_k B_0 D_k^-1 on its levels, D_k = 1 / sqrt(C(j + |k|, j));
     B_0 is upper triangular, so the diagonals are carried divided by D, and
     a step of length h is one product with expm(B_0 h) per class, over all
-    diagonals, times the phase exp(d0 h).  The flow keeps rho Hermitian, so
-    only the diagonals k >= 0 of rho_00 and rho_11 and all of rho_01 are
-    propagated, and each state is written with its conjugate mirror.  Fock
-    levels above the support of rho0 stay empty, since photon loss only
-    lowers n, and are not propagated.
+    diagonals, times the phase exp(d0 h): one `expm` per block class and
+    step length.  Class 0 (a = b) has real coefficients, so its expm(B_0 h)
+    is real and steps the float view of its diagonals as a real product, at
+    half the flops of class 1's complex one; both step in place.  The flow
+    keeps rho Hermitian, so only the diagonals k >= 0 of rho_00 and rho_11
+    and all of rho_01 are propagated, and each state is one gather from
+    their values, the conjugates of their mirror and zero, a fresh array per
+    sample.  Fock levels above the support of rho0 stay empty, since photon
+    loss only lowers n, and are not propagated; the support may reach level
+    NMAX_LIMIT at most.
     """
     if t_start < 0 or dt < 0:
         raise ValueError(f"t_start and dt must be >= 0, got {t_start}, {dt}")
@@ -243,32 +251,46 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,
     B = np.zeros((2, L, L), dtype=complex)
     B[:, j, j] = (c_r + c_l)[:, 0, :, 0] * j
     B[:, j[:-1], j[1:]] = c_m[:, 0, :, 0] * (j[:-1] + 1.0)
-    # diagonal layout y[class, j, |k|, column]; d0 per class and column is
-    # c_l |k| + c_s above the diagonal, c_r |k| + c_s below it
+    # diagonal layout y[class, j, 2 |k| + column]; d0 per class and column
+    # is c_l |k| + c_s above the diagonal, c_r |k| + c_s below it
     jj, kk = j[:, None, None], j[:, None]
     d0 = np.where(_UPPER, c_l, c_r) * kk + c_s
-    props = {h: (expm(B * h), np.exp(d0 * h))
-             for h in set(steps[:2]) if h > 0}
+    props = {}
+    for h in set(steps[:2]):
+        if h > 0:
+            prop = expm(B * h)
+            # class 0 has the real coefficients c_r + c_l = -2 kappa and
+            # c_m = 2 kappa, so its propagator is real
+            props[h] = (prop[0].real.copy(), prop[1], np.broadcast_to(
+                np.exp(d0 * h), (2, L, L, 2)).reshape(2, L, 2 * L))
     n = np.where(_UPPER, jj, jj + kk)
     m = np.where(_UPPER, jj + kk, jj)
     valid = np.flatnonzero(np.broadcast_to(jj + kk < L, n.shape))
     flat = (((2 * _BLOCK_A + _BLOCK_B) * N + n) * N + m).reshape(-1)[valid]
     mirror = (((2 * _BLOCK_B + _BLOCK_A) * N + m) * N + n).reshape(-1)[valid]
-    log_fact = np.array([math.lgamma(i + 1.0) for i in range(2 * L)])
-    D = np.exp(0.5 * (log_fact[jj] + log_fact[kk] - log_fact[jj + kk]))
+    D = np.exp(0.5 * (_LOG_FACT[jj] + _LOG_FACT[kk] - _LOG_FACT[jj + kk]))
     D = np.broadcast_to(D, n.shape).reshape(-1)[valid]
-    y = np.zeros(n.shape, dtype=complex)
+    # each state is one gather from source = [values, conj(values), 0]; the
+    # values index comes after the mirror's, so values hold on the main
+    # diagonals
+    V = valid.size
+    source = np.zeros(2 * V + 1, dtype=complex)
+    values, conj = source[:V], source[V:-1]
+    index = np.full(rho0.size, 2 * V)
+    index[mirror] = np.arange(V, 2 * V)
+    index[flat] = np.arange(V)
+    y = np.zeros((2, L, 2 * L), dtype=complex)
     y.reshape(-1)[valid] = rho0.reshape(-1)[flat] / D
+    step = np.empty_like(y)
     for h in steps:
         if h > 0:
-            prop, phase = props[h]
-            y = phase * (prop @ y.reshape(2, L, -1)).reshape(y.shape)
-        values = D * y.reshape(-1)[valid]
-        state = np.zeros(rho0.size, dtype=complex)
-        # the mirror first, so that values hold on the main diagonals
-        state[mirror] = values.conj()
-        state[flat] = values
-        yield state.reshape(rho0.shape)
+            prop0, prop1, phase = props[h]
+            np.matmul(prop0, y[0].view(float), out=step[0].view(float))
+            np.matmul(prop1, y[1], out=step[1])
+            np.multiply(step, phase, out=y)
+        np.multiply(D, y.take(valid), out=values)
+        np.conjugate(values, out=conj)
+        yield source.take(index).reshape(rho0.shape)
 
 
 def _branch_basis(alpha_plus, alpha_minus, cfg: FockConfig) -> np.ndarray:
@@ -303,11 +325,13 @@ def oracle_series(p: ModelParams, d: DerivedParams, t_start: float,
     basis = _branch_basis(snap.alpha_plus, snap.alpha_minus, fock)
     # proj[i, a, b, f, g] = <basis_f| rho_ab |basis_g> at times[i]
     proj = np.zeros((steps, 2, 2, 2, 2), dtype=complex)
+    bra, ket = basis.conj(), basis.swapaxes(-1, -2).copy()
     pops = np.zeros((steps, 2, fock.dim))
     purity = np.zeros(steps)
     for i, rho in enumerate(integrate(d.Omega_eff, p.kappa, rho0, t_start, dt,
                                       steps)):
-        proj[i] = basis[i].conj() @ rho @ basis[i].T
+        proj[i] = bra[i] @ (rho.reshape(-1, fock.dim) @ ket[i]).reshape(
+            2, 2, fock.dim, 2)
         pops[i] = np.einsum("aann->an", rho).real
         purity[i] = np.vdot(rho, rho).real
     rho4 = proj.transpose(0, 3, 1, 4, 2).reshape(-1, 4, 4)

@@ -360,6 +360,14 @@ class TestExpm:
         assert B.shape[0] == 2
         assert not np.any(np.tril(B, -1)) and not np.any(np.triu(B, 2))
         assert_matches_scipy(B)
+        # class 0 (a = b) is real at any kappa, Omega and h: integrate
+        # applies its propagator as a real product
+        rng = np.random.default_rng(nmax)
+        for _ in range(3):
+            kappa, Omega = 10.0 ** rng.uniform(-4, 0, size=2)
+            h = kappa_h / kappa * rng.uniform(0.5, 2.0)
+            B = oracle_generators(rng.choice([-1, 1]) * Omega, kappa, h, nmax)
+            assert not np.any(B[0].imag)
 
     @pytest.mark.parametrize("A", [
         np.zeros((4, 4)), np.array([[2.5 - 1j]]), np.array([[-300.0]])])
