@@ -231,11 +231,11 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,
     is real and steps the float view of its diagonals as a real product, at
     half the flops of class 1's complex one; both step in place.  The flow
     keeps rho Hermitian, so only the diagonals k >= 0 of rho_00 and rho_11
-    and all of rho_01 are propagated, and each state is one gather from
-    their values, the conjugates of their mirror and zero, a fresh array per
-    sample.  Fock levels above the support of rho0 stay empty, since photon
+    and all of rho_01 are propagated, and each state is a fresh array, one
+    gather from their values, the conjugates of the values for the mirror,
+    and zero.  Fock levels above the support of rho0 stay empty, since photon
     loss only lowers n, and are not propagated; the support may reach level
-    NMAX_LIMIT at most.
+    NMAX_LIMIT at most, else ValueError.
     """
     if t_start < 0 or dt < 0:
         raise ValueError(f"t_start and dt must be >= 0, got {t_start}, {dt}")
@@ -243,6 +243,9 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,
     N = rho0.shape[-1]
     support = np.flatnonzero(np.any(rho0 != 0, axis=(0, 1, 2)))
     L = support[-1] + 1 if support.size else 1
+    if L > NMAX_LIMIT + 1:
+        raise ValueError(f"rho0 fills Fock level {L - 1} > NMAX_LIMIT = "
+                         f"{NMAX_LIMIT}")
     spec = generator(Omega, kappa, _BLOCK_A, _BLOCK_B)
     c_m, c_r, c_l, c_s = (np.broadcast_to(c, _BLOCK_A.shape)
                           for c in (spec.c_m, spec.c_r, spec.c_l, spec.c_s))
@@ -281,13 +284,13 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,
     index[flat] = np.arange(V)
     y = np.zeros((2, L, 2 * L), dtype=complex)
     y.reshape(-1)[valid] = rho0.reshape(-1)[flat] / D
-    step = np.empty_like(y)
+    stepped = np.empty_like(y)
     for h in steps:
         if h > 0:
             prop0, prop1, phase = props[h]
-            np.matmul(prop0, y[0].view(float), out=step[0].view(float))
-            np.matmul(prop1, y[1], out=step[1])
-            np.multiply(step, phase, out=y)
+            np.matmul(prop0, y[0].view(float), out=stepped[0].view(float))
+            np.matmul(prop1, y[1], out=stepped[1])
+            np.multiply(stepped, phase, out=y)
         np.multiply(D, y.take(valid), out=values)
         np.conjugate(values, out=conj)
         yield source.take(index).reshape(rho0.shape)

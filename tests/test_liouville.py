@@ -10,7 +10,7 @@ from drivenjc import analytic as an
 from drivenjc import liouville as lv
 from drivenjc.entanglement import linear_entropy_general, wootters_concurrence
 from drivenjc.integrator import StepSizeUnderflow, rk45
-from drivenjc.model import ModelParams, derive_params
+from drivenjc.model import NMAX_LIMIT, ModelParams, derive_params
 
 from _reference import project_two_qubit, two_qubit_density
 
@@ -304,6 +304,16 @@ class TestIntegrate:
         rho0 = to_blocks(np.eye(4, dtype=complex) / 4)
         with pytest.raises(ValueError, match=">= 0"):
             states_at(0.0, rho0, 0.1, t_start, dt, 3)
+
+    def test_rejects_support_above_nmax_limit(self):
+        # the shared log n! table reaches the largest accepted truncation;
+        # empty levels above it are fine
+        rho0 = np.zeros((2, 2, NMAX_LIMIT + 2, NMAX_LIMIT + 2), dtype=complex)
+        rho0[0, 0, 0, 0] = 1.0
+        assert states_at(0.0, rho0, 0.1, 1.0, 0.0, 1)[0, 0, 0, 0, 0] == 1.0
+        rho0[1, 1, -1, -1] = 1e-3
+        with pytest.raises(ValueError, match=f"level {NMAX_LIMIT + 1} > NMAX_LIMIT"):
+            states_at(0.0, rho0, 0.1, 1.0, 0.0, 1)
 
     def test_step_size_underflow(self):
         def bad_rhs(t, y):
