@@ -15,7 +15,7 @@ shape (2, 2, N, N), and each block evolves on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +29,10 @@ DENSE_GUARD = 32
 TRUNC_TOL = 1e-10   # admissible norm loss of a coherent state at nmax
 SERIES_TOL = 1e-12
 #: random Hermitian test operators per generator in verify_disentangling,
-#: and the seed they are drawn from
+#: the seed they are drawn from, and the Fock truncation of its dense check
 VERIFY_MATRICES = 3
 VERIFY_SEED = 1234
-#: Bounds of DisentanglingReport.passed on the pairwise and dyad errors.
-PAIRWISE_TOL = 1e-8
-DYAD_TOL = 1e-10
+VERIFY_NMAX = 6
 #: Diagonal layout of `integrate`: block (a, b) and whether k = m - n >= 0,
 #: per class and column, for class 0 (rho_00 and rho_11 with k >= 0) and
 #: class 1 (rho_01, both signs of k).  The rest of the Hermitian state is
@@ -401,34 +399,25 @@ def dense_generator(spec: SuperopSpec, cfg: FockConfig) -> np.ndarray:
     return G.astype(complex)
 
 
-@dataclass
-class DisentanglingReport:
-    """Outcome of the three-way superoperator consistency check."""
-
-    max_pairwise_dev: dict = field(default_factory=dict)   # per generator name
-    dyad_max_abs_err: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return (all(v < PAIRWISE_TOL for v in self.max_pairwise_dev.values())
-                and all(v < DYAD_TOL for v in self.dyad_max_abs_err.values()))
-
-
-def verify_disentangling(Omega: float, kappa: float, t: float, cfg: FockConfig,
-                         alpha: complex = 1.0) -> DisentanglingReport:
+def verify_disentangling(Omega: float, kappa: float, t: float,
+                         alpha: complex) -> tuple[float, float]:
     """Cross-check the factorized exponentials three independent ways.
 
-    Random Hermitian matrices go through (a) the dense matrix exponential of
-    the vectorized generator, (b) the factorized product of exponentials and
-    (c) direct adaptive integration of dX/dt = L X, each route once for all
-    four block generators.  Also checks the closed-form action on the
-    initial coherent dyad.
+    Random Hermitian matrices at nmax VERIFY_NMAX go through (a) the dense
+    matrix exponential of the vectorized generator, (b) the factorized
+    product of exponentials and (c) direct adaptive integration of
+    dX/dt = L X, each route once for all four block generators.  Also
+    applies the factorized product to the initial coherent dyad of |alpha>.
+    Returns (pairwise, dyad): the largest deviation between two routes,
+    relative to the largest entry, and the largest entrywise error of the
+    dyad against its closed-form image, each over all four blocks.  The
+    caller judges them.
     """
     A, B = np.array([[0, 1, 0, 1], [0, 1, 1, 0]])   # blocks L00 L11 L01 L10
     spec = generator(Omega, kappa, A[:, None, None], B[:, None, None])
-    prop = expm(dense_generator(spec, cfg) * t)
+    prop = expm(dense_generator(spec, FockConfig(nmax=VERIFY_NMAX)) * t)
     # X[i, k]: test matrix i of block k
-    N = cfg.dim
+    N = VERIFY_NMAX + 1
     draw = np.random.default_rng(VERIFY_SEED).normal(
         size=(2, VERIFY_MATRICES, len(A), N, N))
     X = draw[0] + 1j * draw[1]
@@ -442,15 +431,15 @@ def verify_disentangling(Omega: float, kappa: float, t: float, cfg: FockConfig,
     # every pair of routes: (a) - (c), (b) - (a) and (c) - (b)
     gap = np.max(np.abs(routes - np.roll(routes, 1, axis=0)), axis=(0, 3, 4))
     scale = np.maximum(np.max(np.abs(routes), axis=(0, 3, 4)), 1e-300)
-    pairwise = np.max(gap / scale, axis=0)
+    pairwise = np.max(gap / scale)
 
     # Closed-form coherent-dyad targets.  The continuum closed form is only
     # reproducible when the coherent state fits in the truncated space, so
-    # this stage enlarges nmax as needed; the three-way dense check above
-    # runs at the requested cfg.  The dyads are compared entry by entry,
-    # and amplitudes outlast probabilities in the Fock tail, so nmax is
-    # sized for 2|alpha| up to NMAX_LIMIT, never below default_nmax(alpha).
-    nmax = max(cfg.nmax, default_nmax(alpha),
+    # this stage enlarges nmax beyond VERIFY_NMAX.  The dyads are compared
+    # entry by entry, and amplitudes outlast probabilities in the Fock
+    # tail, so nmax is sized for 2|alpha| up to NMAX_LIMIT, never below
+    # default_nmax(alpha).
+    nmax = max(default_nmax(alpha),
                min(NMAX_LIMIT, default_nmax(2.0 * abs(alpha))))
     dyad_cfg = FockConfig(nmax=nmax)
     v0 = coherent_vector(alpha, dyad_cfg)
@@ -460,7 +449,5 @@ def verify_disentangling(Omega: float, kappa: float, t: float, cfg: FockConfig,
     weight = np.array([[1.0, f], [np.conj(f), 1.0]])
     target = 0.5 * np.einsum("k,kn,km->knm", weight[A, B], branch[A],
                              branch[B].conj())
-    err = np.max(np.abs(apply_factorized(spec, dyad, t) - target), axis=(-2, -1))
-    names = [f"L{a}{b}" for a, b in zip(A, B)]
-    return DisentanglingReport(dict(zip(names, pairwise.tolist())),
-                               dict(zip(names, err.tolist())))
+    err = np.max(np.abs(apply_factorized(spec, dyad, t) - target))
+    return float(pairwise), float(err)

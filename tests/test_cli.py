@@ -604,6 +604,27 @@ class TestVerify:
         assert rc == 0
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("pairwise, dyad, good", [
+        (np.nextafter(1e-8, 0), np.nextafter(1e-10, 0), True),
+        (1e-8, np.nextafter(1e-10, 0), False),
+        (np.nextafter(1e-8, 1), 0.0, False),
+        (np.nextafter(1e-8, 0), 1e-10, False),
+        (0.0, np.nextafter(1e-10, 1), False),
+    ])
+    def test_disentangling_gates(self, capsys, monkeypatch, pairwise, dyad,
+                                 good):
+        # stage 1 passes only below 1e-8 (pairwise) and 1e-10 (dyad)
+        monkeypatch.setattr(liouville, "verify_disentangling",
+                            lambda *args: (pairwise, dyad))
+        rc = main(["verify", "--t-end", "120"])
+        lines = capsys.readouterr().out.splitlines()
+        stage1 = [line for line in lines if "disentangling" in line]
+        assert len(stage1) == 3
+        assert all(line.startswith("PASS" if good else "FAIL")
+                   for line in stage1)
+        assert sum(line.startswith("PASS oracle") for line in lines) == 4
+        assert rc == (0 if good else 1)
+
     def test_misprinted_projector_detected(self, capsys, monkeypatch):
         def misprinted(Omega, kappa, a, b):
             # level shifts v_0 = 0, v_1 = Omega: both projectors on the

@@ -531,20 +531,14 @@ class TestSuperoperators:
 
 class TestVerifyDisentangling:
     def test_identity_map_when_idle(self):
-        rep = lv.verify_disentangling(0.0, 0.0, 50.0, CFG6)
-        assert rep.passed
-        assert max(rep.max_pairwise_dev.values()) < 1e-10
+        pairwise, dyad = lv.verify_disentangling(0.0, 0.0, 50.0, 1.0)
+        assert pairwise < 1e-10
+        assert dyad < 1e-10
 
     def test_default_parameters(self):
-        rep = lv.verify_disentangling(1e-3, 1e-3, 100.0, CFG6)
-        assert rep.passed
-        assert max(rep.max_pairwise_dev.values()) < 1e-8
-        assert max(rep.dyad_max_abs_err.values()) < 1e-10
-        assert sorted(rep.dyad_max_abs_err) == ["L00", "L01", "L10", "L11"]
-
-    def test_guard(self):
-        with pytest.raises(lv.DimensionGuard):
-            lv.verify_disentangling(1e-3, 1e-3, 1.0, lv.FockConfig(nmax=40))
+        pairwise, dyad = lv.verify_disentangling(1e-3, 1e-3, 100.0, 1.0)
+        assert pairwise < 1e-8
+        assert dyad < 1e-10
 
     def test_one_rk45_run_per_call(self, monkeypatch):
         # all four blocks and every test matrix go through a single run
@@ -555,7 +549,7 @@ class TestVerifyDisentangling:
             return rk45(f, y0, *args)
 
         monkeypatch.setattr(lv, "rk45", counted)
-        lv.verify_disentangling(1e-3, 1e-3, 100.0, CFG6)
+        lv.verify_disentangling(1e-3, 1e-3, 100.0, 1.0)
         assert shapes == [(lv.VERIFY_MATRICES, 4, 7, 7)]
 
 
