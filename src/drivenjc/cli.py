@@ -252,7 +252,9 @@ def _grid(cfg: dict, axes, counts, observable: str, columns: dict, t_eval):
     value = np.broadcast_to(_observables(p, d, t)[observable], shape)
     degenerate = np.broadcast_to(d.degenerate, shape)
     _require_finite(value, degenerate)
-    ndegenerate = np.count_nonzero(degenerate)
+    # an observable that does not depend on delta2 (photon number) stays
+    # finite at degenerate points, and is not counted
+    ndegenerate = np.count_nonzero(degenerate & np.isnan(value))
     if ndegenerate:
         print(f"warning: {ndegenerate} of {value.size} cells "
               f"degenerate (|delta2| < {model.EPS_DIV:g}), written as NaN",

@@ -423,6 +423,13 @@ class TestSweep2d:
 
 
 class TestFigures:
+    def test_finite_photon_number_not_counted(self, tmp_path, capsys):
+        # delta2 = 0, but the photon number does not depend on it
+        assert main(["fig3", "--omega", "0", "--omega0", "0", "--steps", "2",
+                     "--output", str(tmp_path)]) == 0
+        assert "nan" not in (tmp_path / "fig3.csv").read_text()
+        assert capsys.readouterr().err == ""
+
     def test_fig1_grid_dimensions(self, tmp_path):
         rc = main(["fig1", "--grid", "6x5", "--output", str(tmp_path)])
         assert rc == 0
