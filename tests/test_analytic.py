@@ -124,9 +124,12 @@ class TestTwoQubitDensity:
 
 class TestObservables:
     def test_concurrence_zero_at_start(self):
-        p = params()
-        assert an.concurrence_analytic(
-            an.evolve(p, derive_params(p), 0.0)) == 0.0
+        # at a complex alpha, abs(alpha)**2 and conj(alpha) * alpha round
+        # apart, which must not leave 1 - |tau|^2 above TAU_DEGENERACY
+        for alpha in (1.0, 1 + 2j, 2 + 1j, 0.5 + 2.18j):
+            p = params(alpha=alpha)
+            assert an.concurrence_analytic(
+                an.evolve(p, derive_params(p), 0.0)) == 0.0, alpha
 
     def test_concurrence_unentangled_branch(self):
         p = params(c0=0.0, c1=1.0)

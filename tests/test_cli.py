@@ -605,11 +605,13 @@ class TestVerify:
 
     def test_large_amplitude_passes(self, capsys):
         # the dyads are compared entry by entry, so the dyad stage's Fock
-        # truncation must hold amplitudes, not only probabilities, to 1e-10
-        rc = main(["verify", "--alpha-re", "2"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "FAIL" not in out
+        # truncation must hold amplitudes, not only probabilities, to 1e-10;
+        # at a complex alpha the closed-form concurrence must be 0 at t = 0
+        for argv in (["--alpha-re", "2"], ["--alpha-im", "2"]):
+            rc = main(["verify", *argv])
+            out = capsys.readouterr().out
+            assert rc == 0, argv
+            assert "FAIL" not in out
 
     @pytest.mark.parametrize("pairwise, dyad, good", [
         (np.nextafter(1e-8, 0), np.nextafter(1e-10, 0), True),
