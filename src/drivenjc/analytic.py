@@ -39,12 +39,7 @@ def _check_times(t) -> None:
 
 
 def coherent_overlap(beta: complex, gamma: complex) -> complex:
-    """Inner product <beta|gamma> of two coherent states.
-
-    exp(-|beta - gamma|^2 / 2 + i Im(conj(beta) gamma)), so that |<beta|beta>|
-    is exactly 1: in the form exp(-|beta|^2/2 - |gamma|^2/2 + conj(beta)
-    gamma) the moduli and the product round apart at a complex beta.
-    """
+    """Inner product <beta|gamma> of two coherent states, 1 at beta = gamma."""
     return np.exp(-0.5 * np.abs(beta - gamma) ** 2
                   + 1j * np.imag(np.conj(beta) * gamma))
 
@@ -79,12 +74,8 @@ def evolve(p: ModelParams, d: DerivedParams, t: float) -> AnalyticSnapshot:
 
 
 def concurrence_analytic(s: AnalyticSnapshot) -> float:
-    """Closed-form concurrence 2|c0 c1| |f| sqrt(1 - |tau|^2).
-
-    1 - |tau|^2 = 1 - exp(-|alpha_plus - alpha_minus|^2) is taken by expm1,
-    which keeps its digits where the two branches nearly coincide and is
-    exactly 0 where they do.
-    """
+    """Closed-form concurrence 2|c0 c1| |f| sqrt(1 - |tau|^2), with
+    1 - |tau|^2 = -expm1(-|alpha_plus - alpha_minus|^2): 0 at t = 0."""
     w2 = -np.expm1(-np.abs(s.alpha_plus - s.alpha_minus) ** 2)
     with np.errstate(invalid="ignore"):
         c = 2.0 * np.abs(s.c0) * np.abs(s.c1) * np.abs(s.f) * np.sqrt(w2)

@@ -252,8 +252,7 @@ def _grid(cfg: dict, axes, counts, observable: str, columns: dict, t_eval):
     value = np.broadcast_to(_observables(p, d, t)[observable], shape)
     degenerate = np.broadcast_to(d.degenerate, shape)
     _require_finite(value, degenerate)
-    # an observable that does not depend on delta2 (photon number) stays
-    # finite at degenerate points, and is not counted
+    # the photon number does not depend on delta2: finite, and not counted
     ndegenerate = np.count_nonzero(degenerate & np.isnan(value))
     if ndegenerate:
         print(f"warning: {ndegenerate} of {value.size} cells "
