@@ -369,7 +369,8 @@ def cmd_verify(args) -> int:
     _require_finite(d.Omega_eff)
     # bad oracle input exits 2 before any verdict is printed
     grid = *_time_range(cfg), 16
-    liouville.coherent_vector(p.alpha, liouville.FockConfig(nmax=_nmax(cfg)))
+    nmax = _nmax(cfg)
+    liouville.coherent_vector(p.alpha, nmax)
     ok = True
 
     # stage 1: the factorized exponentials against two independent routes
@@ -383,7 +384,7 @@ def cmd_verify(args) -> int:
 
     # stage 2: closed forms against the exactly propagated Lindblad oracle
     try:
-        conc, entr, nbar, terr = liouville.oracle_series(p, d, *grid, _nmax(cfg))
+        conc, entr, nbar, terr = liouville.oracle_series(p, d, *grid, nmax)
     except entanglement.InvalidDensityMatrix as exc:
         print(f"FAIL oracle integration: {exc}")
         return EXIT_VERIFY_FAIL

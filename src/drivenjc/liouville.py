@@ -75,18 +75,6 @@ class DimensionGuard(ValueError):
 
 
 @dataclass(frozen=True)
-class FockConfig:
-    nmax: int                   # highest retained Fock level; dimension nmax+1
-
-    def __post_init__(self):
-        check_nmax(self.nmax)
-
-    @property
-    def dim(self) -> int:
-        return self.nmax + 1
-
-
-@dataclass(frozen=True)
 class SuperopSpec:
     """Generator c_m*M + c_r*R + c_l*L + c_s*Id on field operators.
 
@@ -115,15 +103,16 @@ def generator(Omega: float, kappa: float, a, b) -> SuperopSpec:
                        c_s=-1j * Omega * (b - a))
 
 
-def coherent_vector(alpha, cfg: FockConfig) -> np.ndarray:
-    """Truncated Fock expansion of |alpha>, Fock index last; alpha may be an
-    array.  Errors out when any alpha loses too much norm."""
+def coherent_vector(alpha, nmax: int) -> np.ndarray:
+    """Truncated Fock expansion of |alpha> on levels 0..nmax, Fock index
+    last; alpha may be an array.  Errors out when nmax is outside
+    1..NMAX_LIMIT or any alpha loses too much norm."""
     alpha = np.asarray(alpha, dtype=complex)
-    n = np.arange(cfg.dim)
+    n = np.arange(check_nmax(nmax) + 1)
     r = np.abs(alpha)[..., None]
     # log-domain magnitudes to dodge overflow in alpha**n / sqrt(n!)
     log_mag = (-0.5 * r**2 + n * np.log(np.where(r > 0, r, 1.0))
-               - 0.5 * _LOG_FACT[:cfg.dim])
+               - 0.5 * _LOG_FACT[:nmax + 1])
     vec = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha)[..., None])
     vec = np.where(r > 0, vec, n == 0)
     norm_loss = 1.0 - np.sum(np.abs(vec) ** 2, axis=-1)
@@ -131,7 +120,7 @@ def coherent_vector(alpha, cfg: FockConfig) -> np.ndarray:
         worst = np.unravel_index(np.argmax(norm_loss), norm_loss.shape)
         raise TruncationError(
             f"coherent state alpha={complex(alpha[worst])} loses "
-            f"{norm_loss[worst]:.3e} norm at nmax={cfg.nmax} "
+            f"{norm_loss[worst]:.3e} norm at nmax={nmax} "
             f"(tol {TRUNC_TOL:.3e})",
             float(norm_loss[worst]),
         )
@@ -294,17 +283,17 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,
         yield source.take(index).reshape(rho0.shape)
 
 
-def _branch_basis(alpha_plus, alpha_minus, cfg: FockConfig) -> np.ndarray:
+def _branch_basis(alpha_plus, alpha_minus, nmax: int) -> np.ndarray:
     """(..., 2, N) two-branch field basis: |alpha_plus> and the Gram-Schmidt
     complement of |alpha_minus>, zero where the two branches coincide."""
-    up = coherent_vector(alpha_plus, cfg)
-    vm = coherent_vector(alpha_minus, cfg)
+    up = coherent_vector(alpha_plus, nmax)
+    vm = coherent_vector(alpha_minus, nmax)
     up = up / np.linalg.norm(up, axis=-1, keepdims=True)
     tau = np.sum(up.conj() * vm, axis=-1, keepdims=True)
     resid = vm - tau * up
     rnorm = np.linalg.norm(resid, axis=-1, keepdims=True)
     down = np.divide(resid, rnorm, out=np.zeros_like(resid),
-                     where=rnorm**2 >= 1e-15)
+                     where=rnorm**2 >= analytic.TAU_DEGENERACY)
     return np.stack([up, down], axis=-2)
 
 
@@ -319,26 +308,25 @@ def oracle_series(p: ModelParams, d: DerivedParams, t_start: float,
     projects each sample onto the two-branch basis of the closed-form
     amplitudes alpha_pm(t); the linear entropy is 1 - sum_ab |rho_ab|_F^2.
     """
-    fock = FockConfig(nmax=nmax)
+    N = nmax + 1
     times, dt = np.linspace(t_start, t_end, steps, retstep=True)
-    rho0 = initial_blocks(p.c0, p.c1, coherent_vector(p.alpha, fock))
+    rho0 = initial_blocks(p.c0, p.c1, coherent_vector(p.alpha, nmax))
     snap = analytic.evolve(p, d, times)
-    basis = _branch_basis(snap.alpha_plus, snap.alpha_minus, fock)
+    basis = _branch_basis(snap.alpha_plus, snap.alpha_minus, nmax)
     # proj[i, a, b, f, g] = <basis_f| rho_ab |basis_g> at times[i]
     proj = np.zeros((steps, 2, 2, 2, 2), dtype=complex)
     bra, ket = basis.conj(), basis.swapaxes(-1, -2).copy()
-    pops = np.zeros((steps, 2, fock.dim))
+    pops = np.zeros((steps, 2, N))
     purity = np.zeros(steps)
     for i, rho in enumerate(integrate(d.Omega_eff, p.kappa, rho0, t_start, dt,
                                       steps)):
-        proj[i] = bra[i] @ (rho.reshape(-1, fock.dim) @ ket[i]).reshape(
-            2, 2, fock.dim, 2)
+        proj[i] = bra[i] @ (rho.reshape(-1, N) @ ket[i]).reshape(2, 2, N, 2)
         pops[i] = np.einsum("aann->an", rho).real
         purity[i] = np.vdot(rho, rho).real
     rho4 = proj.transpose(0, 3, 1, 4, 2).reshape(-1, 4, 4)
     if not np.all(np.isfinite(rho4)):
         raise FloatingPointError("oracle state overflowed to non-finite values")
-    nbar = np.sum(pops @ np.arange(float(fock.dim)), axis=-1)
+    nbar = np.sum(pops @ np.arange(float(N)), axis=-1)
     trace_err = np.abs(np.sum(pops, axis=(1, 2)) - 1.0)
     return (entanglement.wootters_concurrence(rho4),
             np.maximum(1.0 - purity, 0.0), nbar, trace_err)
@@ -382,13 +370,14 @@ def apply_factorized(spec: SuperopSpec, X: np.ndarray, t: float) -> np.ndarray:
     return np.exp(spec.c_s * t) * (left * acc * right)
 
 
-def dense_generator(spec: SuperopSpec, cfg: FockConfig) -> np.ndarray:
-    """N^2 x N^2 matrix acting on row-major-stacked field operators.
+def dense_generator(spec: SuperopSpec, nmax: int) -> np.ndarray:
+    """N^2 x N^2 matrix, N = nmax + 1, acting on row-major-stacked field
+    operators.
 
     With X flattened row by row, X -> A X B maps to (A kron B^T) vec(X),
     so R -> adag a kron I, L -> I kron adag a, M -> a kron a.
     """
-    N = cfg.dim
+    N = nmax + 1
     if N > DENSE_GUARD:
         raise DimensionGuard(f"dense superoperator guard: N={N} > {DENSE_GUARD}")
     a = np.diag(np.sqrt(np.arange(1.0, N)), 1)
@@ -415,7 +404,7 @@ def verify_disentangling(Omega: float, kappa: float, t: float,
     """
     A, B = np.array([[0, 1, 0, 1], [0, 1, 1, 0]])   # blocks L00 L11 L01 L10
     spec = generator(Omega, kappa, A[:, None, None], B[:, None, None])
-    prop = expm(dense_generator(spec, FockConfig(nmax=VERIFY_NMAX)) * t)
+    prop = expm(dense_generator(spec, VERIFY_NMAX) * t)
     # X[i, k]: test matrix i of block k
     N = VERIFY_NMAX + 1
     draw = np.random.default_rng(VERIFY_SEED).normal(
@@ -441,11 +430,10 @@ def verify_disentangling(Omega: float, kappa: float, t: float,
     # default_nmax(alpha).
     nmax = max(default_nmax(alpha),
                min(NMAX_LIMIT, default_nmax(2.0 * abs(alpha))))
-    dyad_cfg = FockConfig(nmax=nmax)
-    v0 = coherent_vector(alpha, dyad_cfg)
+    v0 = coherent_vector(alpha, nmax)
     dyad = 0.5 * np.outer(v0, v0.conj())
     a_plus, a_minus, f = analytic.branches(alpha, kappa, Omega, t)
-    branch = coherent_vector(np.array([a_plus, a_minus]), dyad_cfg)
+    branch = coherent_vector(np.array([a_plus, a_minus]), nmax)
     weight = np.array([[1.0, f], [np.conj(f), 1.0]])
     target = 0.5 * np.einsum("k,kn,km->knm", weight[A, B], branch[A],
                              branch[B].conj())

@@ -124,7 +124,11 @@ def check_nmax(nmax: int) -> int:
 def default_nmax(alpha: complex) -> int:
     """Truncation covering > 8 standard deviations of the Poisson photon law."""
     a = abs(alpha)
-    return max(20, math.ceil(a * a + 8.0 * a + 10.0))
+    bound = a * a + 8.0 * a + 10.0
+    if not math.isfinite(bound):
+        raise ValueError(f"|alpha| = {a:.6g}: the Fock truncation bound "
+                         "|alpha|^2 + 8|alpha| + 10 overflows")
+    return max(20, math.ceil(bound))
 
 
 def dispersive_ratio(d: DerivedParams, n: int) -> float:

@@ -29,8 +29,8 @@ def two_qubit_density(s: AnalyticSnapshot) -> np.ndarray:
     return rho
 
 
-def project_two_qubit(rho, alpha_plus, alpha_minus, cfg) -> np.ndarray:
+def project_two_qubit(rho, alpha_plus, alpha_minus, nmax) -> np.ndarray:
     """Field blocks rho[a, b] projected onto the oracle's two-branch basis,
     in the index convention of `two_qubit_density`."""
-    basis = liouville._branch_basis(alpha_plus, alpha_minus, cfg)
+    basis = liouville._branch_basis(alpha_plus, alpha_minus, nmax)
     return np.einsum("fn,abnm,gm->fagb", basis.conj(), rho, basis).reshape(4, 4)

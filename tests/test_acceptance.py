@@ -193,12 +193,12 @@ def test_criterion_8_integrator_invariants():
         t_end = float(rng.uniform(10.0, 150.0))
         phi = rng.uniform(0.0, 2 * math.pi)
         c0, c1 = math.cos(phi), math.sin(phi)
-        fock = liouville.FockConfig(nmax=liouville.default_nmax(alpha))
+        nmax = liouville.default_nmax(alpha)
         state = liouville.initial_blocks(
-            c0, c1, liouville.coherent_vector(alpha, fock))
+            c0, c1, liouville.coherent_vector(alpha, nmax))
         final, = liouville.integrate(Omega, kappa, state, t_end, 0.0, 1)
         # joint matrix over (atom, Fock level) assembled from the blocks
-        rho = final.transpose(0, 2, 1, 3).reshape(2 * fock.dim, 2 * fock.dim)
+        rho = final.transpose(0, 2, 1, 3).reshape(2 * (nmax + 1), -1)
         worst_trace = max(worst_trace, abs(np.trace(rho).real - 1.0))
         worst_herm = max(worst_herm,
                          float(np.max(np.abs(rho - rho.conj().T))))

@@ -38,10 +38,9 @@ class TestCoherentOverlap:
         assert got.imag == pytest.approx(0.309560, abs=1e-6)
 
     def test_against_truncated_fock_dot_product(self):
-        cfg = lv.FockConfig(nmax=40)
         for b, g in [(1.0, 1.0j), (0.5 - 0.3j, -0.8), (1.2, 1.2)]:
-            vb = lv.coherent_vector(b, cfg)
-            vg = lv.coherent_vector(g, cfg)
+            vb = lv.coherent_vector(b, 40)
+            vg = lv.coherent_vector(g, 40)
             assert an.coherent_overlap(b, g) == pytest.approx(
                 complex(np.vdot(vb, vg)), abs=1e-12)
 

@@ -185,6 +185,14 @@ class TestInputContract:
         (["params", "--nmax", "0"], 2),
         # fig1 evaluates at t = 1/g, as sweep2d does without --t-eval
         (["fig1", "--g", "0", "--grid", "3x2", "--output", "d"], 2),
+        # |alpha| = 18.5 implies nmax 501 > NMAX_LIMIT, refused by
+        # coherent_vector before any verdict or row
+        (["verify", "--alpha-re", "18.5"], 2),
+        (["timeseries", "--oracle", "--alpha-re", "18.5", "--steps", "3"], 2),
+        # |alpha|^2 overflows the truncation bound of default_nmax
+        (["verify", "--alpha-re", "1e200"], 2),
+        (["params", "--alpha-re", "1e200"], 2),
+        (["timeseries", "--oracle", "--alpha-re", "1e200", "--steps", "3"], 2),
     ])
     def test_exit_code_without_output(self, argv, code, capsys, tmp_path,
                                       monkeypatch):

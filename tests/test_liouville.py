@@ -15,39 +15,28 @@ from drivenjc.model import NMAX_LIMIT, ModelParams, derive_params
 from _reference import project_two_qubit, two_qubit_density
 
 
-CFG6 = lv.FockConfig(nmax=6)
-
-
-class TestFockConfig:
+class TestCoherentVector:
     def test_rejects_bad_nmax(self):
-        with pytest.raises(ValueError):
-            lv.FockConfig(nmax=0)
+        for nmax in (0, lv.NMAX_LIMIT + 1):
+            with pytest.raises(ValueError, match="500"):
+                lv.coherent_vector(0.5, nmax)
 
     def test_nmax_limit(self):
-        assert lv.FockConfig(nmax=lv.NMAX_LIMIT).dim == 501
-        with pytest.raises(ValueError, match="500"):
-            lv.FockConfig(nmax=lv.NMAX_LIMIT + 1)
+        assert lv.coherent_vector(1.0, lv.NMAX_LIMIT).shape == (501,)
 
-    def test_default_nmax(self):
-        assert lv.default_nmax(0.0) == 20
-        assert lv.default_nmax(1.0) == 20
-        assert lv.default_nmax(3.0) == math.ceil(9 + 24 + 10)
-
-
-class TestCoherentVector:
     def test_vacuum(self):
-        v = lv.coherent_vector(0.0, CFG6)
+        v = lv.coherent_vector(0.0, 6)
         expected = np.zeros(7)
         expected[0] = 1.0
         np.testing.assert_allclose(v, expected)
 
     def test_unit_amplitude_norm_loss(self):
-        v = lv.coherent_vector(1.0, lv.FockConfig(nmax=20))
+        v = lv.coherent_vector(1.0, 20)
         assert 1.0 - np.sum(np.abs(v) ** 2) < 1e-15
 
     def test_matches_direct_formula(self):
         alpha = 0.7 - 0.4j
-        v = lv.coherent_vector(alpha, lv.FockConfig(nmax=15))
+        v = lv.coherent_vector(alpha, 15)
         for n in range(16):
             expected = (cmath.exp(-abs(alpha) ** 2 / 2) * alpha**n
                         / math.sqrt(math.factorial(n)))
@@ -55,21 +44,21 @@ class TestCoherentVector:
 
     def test_truncation_error(self):
         with pytest.raises(lv.TruncationError) as exc:
-            lv.coherent_vector(3.0, lv.FockConfig(nmax=4))
+            lv.coherent_vector(3.0, 4)
         assert exc.value.norm_loss > 1e-3
 
     def test_array_of_amplitudes(self):
-        cfg = lv.FockConfig(nmax=15)
+        nmax = 15
         alphas = np.array([[0.0, 0.7 - 0.4j], [1.2j, -0.3]])
-        vecs = lv.coherent_vector(alphas, cfg)
+        vecs = lv.coherent_vector(alphas, nmax)
         assert vecs.shape == (2, 2, 16)
         for idx in np.ndindex(2, 2):
             np.testing.assert_allclose(vecs[idx],
-                                       lv.coherent_vector(alphas[idx], cfg),
+                                       lv.coherent_vector(alphas[idx], nmax),
                                        rtol=0, atol=1e-16)
         # one amplitude beyond the truncation fails the whole array
         with pytest.raises(lv.TruncationError) as exc:
-            lv.coherent_vector([0.5, 3.0, 0.1], lv.FockConfig(nmax=4))
+            lv.coherent_vector([0.5, 3.0, 0.1], 4)
         assert "alpha=(3+0j)" in str(exc.value)
 
 
@@ -179,8 +168,8 @@ class TestLindbladRHS:
         np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13)
 
 
-def initial_state(alpha, cfg, c0=1 / math.sqrt(2), c1=1 / math.sqrt(2)):
-    return lv.initial_blocks(c0, c1, lv.coherent_vector(alpha, cfg))
+def initial_state(alpha, nmax, c0=1 / math.sqrt(2), c1=1 / math.sqrt(2)):
+    return lv.initial_blocks(c0, c1, lv.coherent_vector(alpha, nmax))
 
 
 def states_at(Omega, rho0, kappa, t_start, dt, count):
@@ -195,27 +184,27 @@ def state_at(Omega, rho0, kappa, t):
 
 class TestIntegrate:
     def test_diagonal_hamiltonian_preserves_populations(self):
-        cfg = lv.FockConfig(nmax=14)
-        st0 = initial_state(1.0, cfg)
+        nmax = 14
+        st0 = initial_state(1.0, nmax)
         st = state_at(-1e-3, st0, 0.0, 200.0)
         np.testing.assert_allclose(np.diag(to_joint(st)).real,
                                    np.diag(to_joint(st0)).real, atol=1e-9)
 
     def test_pure_decay_keeps_field_coherent(self):
-        cfg = lv.FockConfig(nmax=14)
+        nmax = 14
         k, t, alpha = 2e-3, 150.0, 1.0
-        st = state_at(0.0, initial_state(alpha, cfg), k, t)
-        nfull = np.kron(np.eye(2), np.diag(np.arange(float(cfg.dim))))
+        st = state_at(0.0, initial_state(alpha, nmax), k, t)
+        nfull = np.kron(np.eye(2), np.diag(np.arange(nmax + 1.0)))
         nbar = np.trace(to_joint(st) @ nfull).real
         assert nbar == pytest.approx(alpha**2 * math.exp(-2 * k * t), abs=1e-8)
-        vt = lv.coherent_vector(alpha * math.exp(-k * t), cfg)
+        vt = lv.coherent_vector(alpha * math.exp(-k * t), nmax)
         rho00 = st[0, 0]
         np.testing.assert_allclose(rho00, 0.5 * np.outer(vt, vt.conj()),
                                    atol=1e-8)
 
     def test_trace_and_hermiticity_preserved(self):
-        cfg = lv.FockConfig(nmax=14)
-        rho = to_joint(state_at(-1e-3, initial_state(1.0, cfg), 1e-3, 300.0))
+        nmax = 14
+        rho = to_joint(state_at(-1e-3, initial_state(1.0, nmax), 1e-3, 300.0))
         assert abs(np.trace(rho) - 1.0) < 1e-8
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
         assert np.linalg.eigvalsh(rho).min() > -1e-8
@@ -235,10 +224,9 @@ class TestIntegrate:
         rho0[..., N - empty_top:] = 0.0
         Om, k = rng.normal(), rng.uniform(0.05, 0.5)
         got = states_at(Om, rho0, k, t_start, dt, count)
-        cfg = lv.FockConfig(nmax=N - 1)
         for a in range(2):
             for b in range(2):
-                G = lv.dense_generator(lv.generator(Om, k, a, b), cfg)
+                G = lv.dense_generator(lv.generator(Om, k, a, b), N - 1)
                 for i in range(count):
                     t = t_start + i * dt
                     want = (expm(G * t) @ rho0[a, b].ravel()).reshape(N, N)
@@ -263,13 +251,13 @@ class TestIntegrate:
         # sqrt(C(j + |k|, j)) that relate each diagonal to the main one span
         # 17 orders of magnitude; the blocks must stay the two coherent
         # branches 0.5 |alpha_pm><alpha_pm| and 0.5 f |alpha_+><alpha_-|
-        cfg = lv.FockConfig(nmax=120)
+        nmax = 120
         alpha, Om, k = 6.0, 0.3, 0.05
         times = np.linspace(0.0, 12.0, 4)
-        got = states_at(Om, initial_state(alpha, cfg), k, 0.0, times[1], 4)
+        got = states_at(Om, initial_state(alpha, nmax), k, 0.0, times[1], 4)
         for t, rho in zip(times, got):
             a_plus, a_minus, f = an.branches(alpha, k, Om, t)
-            v = lv.coherent_vector(np.array([a_plus, a_minus]), cfg)
+            v = lv.coherent_vector(np.array([a_plus, a_minus]), nmax)
             weight = np.array([[1.0, f], [np.conj(f), 1.0]])
             want = 0.5 * weight[:, :, None, None] * np.einsum(
                 "an,bm->abnm", v, v.conj())
@@ -340,7 +328,7 @@ def oracle_generators(Omega, kappa, h, nmax):
         stacks.append(A)
         return original(A)
 
-    rho0 = initial_state(1.0, lv.FockConfig(nmax=nmax))
+    rho0 = initial_state(1.0, nmax)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lv, "expm", capture)
         states_at(Omega, rho0, kappa, 0.0, h, 2)
@@ -386,13 +374,13 @@ class TestExpm:
 
     def test_dense_generator(self):
         spec = lv.generator(0.3, 0.5, *BLOCKS)
-        assert_matches_scipy(lv.dense_generator(spec, CFG6) * 500.0)
+        assert_matches_scipy(lv.dense_generator(spec, 6) * 500.0)
 
 
 class TestBlock:
     def test_product_state(self):
-        cfg = lv.FockConfig(nmax=8)
-        field = lv.coherent_vector(0.5, cfg)
+        nmax = 8
+        field = lv.coherent_vector(0.5, nmax)
         rho_f = np.outer(field, field.conj())
         st = lv.initial_blocks(1.0, 0.0, field)
         np.testing.assert_allclose(st[0, 0], rho_f, atol=1e-15)
@@ -400,9 +388,9 @@ class TestBlock:
             np.testing.assert_allclose(st[i, j], 0, atol=1e-15)
 
     def test_initial_balanced_state_blocks(self):
-        cfg = lv.FockConfig(nmax=12)
-        st = initial_state(1.0, cfg)
-        v = lv.coherent_vector(1.0, cfg)
+        nmax = 12
+        st = initial_state(1.0, nmax)
+        v = lv.coherent_vector(1.0, nmax)
         half_dyad = 0.5 * np.outer(v, v.conj())
         for (i, j) in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             np.testing.assert_allclose(st[i, j], half_dyad, atol=1e-14)
@@ -446,28 +434,28 @@ class TestSuperoperators:
 
     def test_dyad_decay_block(self):
         Om, k, t, alpha = -1e-3, 1e-3, 100.0, 1.0
-        cfg = lv.FockConfig(nmax=20)
-        v0 = lv.coherent_vector(alpha, cfg)
+        nmax = 20
+        v0 = lv.coherent_vector(alpha, nmax)
         out = lv.apply_factorized(lv.generator(Om, k, 0, 0),
                                   0.5 * np.outer(v0, v0.conj()), t)
         ap = alpha * cmath.exp(-(k + 1j * Om) * t)
-        vp = lv.coherent_vector(ap, cfg)
+        vp = lv.coherent_vector(ap, nmax)
         np.testing.assert_allclose(out, 0.5 * np.outer(vp, vp.conj()),
                                    atol=1e-10)
 
     def test_dyad_coherence_block(self):
         Om, k, t, alpha = -1e-3, 1e-3, 100.0, 1.0
-        cfg = lv.FockConfig(nmax=20)
+        nmax = 20
         p = ModelParams(omega=2.0, omega0=1.9, omega_c=0.0, g=0.01, lam=0.0,
                         kappa=k, alpha=alpha)
         d = derive_params(p)
         assert d.Omega_eff == pytest.approx(Om, rel=1e-12)
         s = an.evolve(p, d, t)
-        v0 = lv.coherent_vector(alpha, cfg)
+        v0 = lv.coherent_vector(alpha, nmax)
         out = lv.apply_factorized(lv.generator(Om, k, 0, 1),
                                   0.5 * np.outer(v0, v0.conj()), t)
-        vp = lv.coherent_vector(s.alpha_plus, cfg)
-        vm = lv.coherent_vector(s.alpha_minus, cfg)
+        vp = lv.coherent_vector(s.alpha_plus, nmax)
+        vm = lv.coherent_vector(s.alpha_minus, nmax)
         np.testing.assert_allclose(out, 0.5 * s.f * np.outer(vp, vm.conj()),
                                    atol=1e-10)
 
@@ -477,7 +465,7 @@ class TestSuperoperators:
         x = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
         x = x + x.conj().T
         spec = lv.generator(-1e-3, 1e-2, 0, 0)  # m = 1 - e^{-2kt}, about 1
-        dense = (expm(lv.dense_generator(spec, CFG6) * 500.0)
+        dense = (expm(lv.dense_generator(spec, 6) * 500.0)
                  @ x.ravel()).reshape(7, 7)
         out = lv.apply_factorized(spec, x, 500.0)
         assert np.max(np.abs(out - dense)) <= 1e-13 * np.max(np.abs(dense))
@@ -488,25 +476,25 @@ class TestSuperoperators:
         # it stopped while terms still mattered at the low, slowly decaying
         # Fock levels
         spec = lv.generator(-1e-3, 1e-3, a, b)
-        cfg = lv.FockConfig(nmax=31)
+        nmax = 31
         # |3.5> cut at nmax 31 (it loses 1.9e-6 norm there)
-        v0 = lv.coherent_vector(3.5, lv.FockConfig(nmax=60))[:cfg.dim]
+        v0 = lv.coherent_vector(3.5, 60)[:nmax + 1]
         dyad = 0.5 * np.outer(v0, v0.conj())
-        dense = (expm(lv.dense_generator(spec, cfg) * 500.0)
+        dense = (expm(lv.dense_generator(spec, nmax) * 500.0)
                  @ dyad.ravel()).reshape(dyad.shape)
         np.testing.assert_allclose(lv.apply_factorized(spec, dyad, 500.0),
                                    dense, rtol=0, atol=1e-13)
 
     def test_dense_generator_left_multiplication(self):
         spec = lv.SuperopSpec(c_m=0.0, c_r=0.7, c_l=0.0)
-        g = lv.dense_generator(spec, CFG6)
+        g = lv.dense_generator(spec, 6)
         nh = np.diag(np.arange(7.0))
         np.testing.assert_allclose(g, 0.7 * np.kron(nh, np.eye(7)), atol=1e-15)
 
     def test_dense_commutators(self):
-        r = lv.dense_generator(lv.SuperopSpec(0.0, 1.0, 0.0), CFG6)
-        l = lv.dense_generator(lv.SuperopSpec(0.0, 0.0, 1.0), CFG6)
-        m = lv.dense_generator(lv.SuperopSpec(1.0, 0.0, 0.0), CFG6)
+        r = lv.dense_generator(lv.SuperopSpec(0.0, 1.0, 0.0), 6)
+        l = lv.dense_generator(lv.SuperopSpec(0.0, 0.0, 1.0), 6)
+        m = lv.dense_generator(lv.SuperopSpec(1.0, 0.0, 0.0), 6)
         np.testing.assert_allclose(r @ m - m @ r, -m, rtol=0, atol=1e-13)
         np.testing.assert_allclose(l @ m - m @ l, -m, rtol=0, atol=1e-13)
         np.testing.assert_array_equal(r @ l - l @ r, np.zeros_like(r))
@@ -515,7 +503,7 @@ class TestSuperoperators:
         rng = np.random.default_rng(17)
         x = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
         spec = lv.generator(2e-3, 1e-3, 0, 1)
-        g = lv.dense_generator(spec, CFG6)
+        g = lv.dense_generator(spec, 6)
         a = np.diag(np.sqrt(np.arange(1.0, 7)), 1)
         nh = np.diag(np.arange(7.0))
         direct = (spec.c_m * (a @ x @ a.conj().T) + spec.c_r * (nh @ x)
@@ -525,8 +513,7 @@ class TestSuperoperators:
 
     def test_dimension_guard(self):
         with pytest.raises(lv.DimensionGuard):
-            lv.dense_generator(lv.SuperopSpec(1.0, 0.0, 0.0),
-                               lv.FockConfig(nmax=70))
+            lv.dense_generator(lv.SuperopSpec(1.0, 0.0, 0.0), 70)
 
 
 class TestVerifyDisentangling:
@@ -560,9 +547,8 @@ class TestTruncationConvergence:
         d = derive_params(p)
         results = []
         for nmax in (20, 25):
-            cfg = lv.FockConfig(nmax=nmax)
-            st = state_at(d.Omega_eff, initial_state(1.0, cfg), p.kappa, 100.0)
-            nfull = np.kron(np.eye(2), np.diag(np.arange(float(cfg.dim))))
+            st = state_at(d.Omega_eff, initial_state(1.0, nmax), p.kappa, 100.0)
+            nfull = np.kron(np.eye(2), np.diag(np.arange(nmax + 1.0)))
             results.append(np.trace(to_joint(st) @ nfull).real)
         assert abs(results[0] - results[1]) < 1e-8
 
@@ -574,16 +560,16 @@ class TestOracleSeries:
         p = ModelParams(omega=2.0, omega0=1.9, omega_c=0.2, g=0.01, lam=0.2,
                         kappa=2e-3, alpha=1.3 - 0.4j, c0=0.6, c1=0.8)
         d = derive_params(p)
-        cfg = lv.FockConfig(nmax=24)
+        nmax = 24
         grid = 0.0, 200.0, 9
         times = np.linspace(*grid)
-        conc, entr, nbar, terr = lv.oracle_series(p, d, *grid, cfg.nmax)
-        states = states_at(d.Omega_eff, initial_state(p.alpha, cfg, p.c0, p.c1),
+        conc, entr, nbar, terr = lv.oracle_series(p, d, *grid, nmax)
+        states = states_at(d.Omega_eff, initial_state(p.alpha, nmax, p.c0, p.c1),
                            p.kappa, 0.0, 25.0, 9)
         s = an.evolve(p, d, times)
-        n = np.arange(float(cfg.dim))
+        n = np.arange(nmax + 1.0)
         for i, st in enumerate(states):
-            rho4 = project_two_qubit(st, s.alpha_plus[i], s.alpha_minus[i], cfg)
+            rho4 = project_two_qubit(st, s.alpha_plus[i], s.alpha_minus[i], nmax)
             assert abs(conc[i] - wootters_concurrence(rho4)) < 1e-14
             assert abs(entr[i] - linear_entropy_general(rho4)) < 1e-14
             pops = np.einsum("aann->n", st).real
@@ -627,8 +613,8 @@ def test_project_two_qubit_matches_embedding():
     p = ModelParams(omega=2.0, omega0=1.9, omega_c=0.0, g=0.01, lam=0.0,
                     kappa=1e-3, alpha=1.0)
     d = derive_params(p)
-    cfg = lv.FockConfig(nmax=20)
-    st = state_at(d.Omega_eff, initial_state(1.0, cfg), p.kappa, 80.0)
+    nmax = 20
+    st = state_at(d.Omega_eff, initial_state(1.0, nmax), p.kappa, 80.0)
     s = an.evolve(p, d, 80.0)
-    got = project_two_qubit(st, s.alpha_plus, s.alpha_minus, cfg)
+    got = project_two_qubit(st, s.alpha_plus, s.alpha_minus, nmax)
     np.testing.assert_allclose(got, two_qubit_density(s), atol=1e-7)

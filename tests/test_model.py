@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from drivenjc.model import (
     DegenerateDispersive,
     ModelParams,
+    default_nmax,
     derive_params,
     dispersive_ratio,
 )
@@ -103,6 +104,18 @@ class TestDispersiveRatio:
         d = derive_params(params())
         with pytest.raises(ValueError):
             dispersive_ratio(d, -1)
+
+
+class TestDefaultNmax:
+    def test_default_nmax(self):
+        assert default_nmax(0.0) == 20
+        assert default_nmax(1.0) == 20
+        assert default_nmax(3.0) == math.ceil(9 + 24 + 10)
+
+    def test_overflowing_bound_rejected(self):
+        # |alpha|^2 overflows to inf: invalid input, not a numerical failure
+        with pytest.raises(ValueError, match="1e\\+200"):
+            default_nmax(1e200)
 
 
 @given(st.floats(0.1, 100.0))
