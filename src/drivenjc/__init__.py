@@ -21,7 +21,6 @@ from .analytic import (
 )
 from .entanglement import (
     InvalidDensityMatrix,
-    linear_entropy_general,
     wootters_concurrence,
 )
 

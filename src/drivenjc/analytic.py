@@ -24,7 +24,6 @@ TAU_DEGENERACY = 1e-15
 class AnalyticSnapshot:
     """Exact state descriptors, shaped like the broadcast of t and the inputs."""
 
-    t: float
     alpha_plus: complex     # field amplitude attached to dressed |0>
     alpha_minus: complex    # field amplitude attached to dressed |1>
     f: complex              # coherence (decoherence) factor
@@ -68,7 +67,7 @@ def evolve(p: ModelParams, d: DerivedParams, t: float) -> AnalyticSnapshot:
     """Closed-form state descriptors at times t >= 0."""
     a_plus, a_minus, f = branches(p.alpha, p.kappa, d.Omega_eff, t)
     return AnalyticSnapshot(
-        t=t, alpha_plus=a_plus, alpha_minus=a_minus, f=f,
+        alpha_plus=a_plus, alpha_minus=a_minus, f=f,
         tau=coherent_overlap(a_plus, a_minus), c0=p.c0, c1=p.c1,
     )
 

@@ -56,12 +56,3 @@ def wootters_concurrence(rho: np.ndarray):
     c = np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0, 1.0)
     return float(c) if c.ndim == 0 else c
 
-
-def linear_entropy_general(rho: np.ndarray):
-    """Linear entropy S = 1 - Tr(rho^2) of a density matrix of any dimension,
-    or an array of them for a stack (..., d, d)."""
-    rho = np.asarray(rho, dtype=complex)
-    _check_density(rho)
-    purity = np.trace(rho @ rho, axis1=-2, axis2=-1).real
-    s = np.maximum(1.0 - purity, 0.0)
-    return float(s) if s.ndim == 0 else s

@@ -24,8 +24,6 @@ from .integrator import rk45
 from .model import (NMAX_LIMIT, DerivedParams, ModelParams, check_nmax,
                     default_nmax)
 
-#: Largest Fock dimension N of the dense (N^2 x N^2) superoperator route.
-DENSE_GUARD = 32
 TRUNC_TOL = 1e-10   # admissible norm loss of a coherent state at nmax
 SERIES_TOL = 1e-12
 #: random Hermitian test operators per generator in verify_disentangling,
@@ -60,18 +58,6 @@ _PADE = {
                                670442572800., 33522128640., 1323241920.,
                                40840800., 960960., 16380., 182., 1.)),
 }
-
-
-class TruncationError(ValueError):
-    """Coherent-state preparation loses too much norm at this nmax."""
-
-    def __init__(self, msg, norm_loss):
-        super().__init__(msg)
-        self.norm_loss = norm_loss
-
-
-class DimensionGuard(ValueError):
-    """Fock dimension too large for the dense superoperator route."""
 
 
 @dataclass(frozen=True)
@@ -118,12 +104,10 @@ def coherent_vector(alpha, nmax: int) -> np.ndarray:
     norm_loss = 1.0 - np.sum(np.abs(vec) ** 2, axis=-1)
     if np.any(norm_loss >= TRUNC_TOL):
         worst = np.unravel_index(np.argmax(norm_loss), norm_loss.shape)
-        raise TruncationError(
+        raise ValueError(
             f"coherent state alpha={complex(alpha[worst])} loses "
             f"{norm_loss[worst]:.3e} norm at nmax={nmax} "
-            f"(tol {TRUNC_TOL:.3e})",
-            float(norm_loss[worst]),
-        )
+            f"(tol {TRUNC_TOL:.3e})")
     return vec
 
 
@@ -378,8 +362,6 @@ def dense_generator(spec: SuperopSpec, nmax: int) -> np.ndarray:
     so R -> adag a kron I, L -> I kron adag a, M -> a kron a.
     """
     N = nmax + 1
-    if N > DENSE_GUARD:
-        raise DimensionGuard(f"dense superoperator guard: N={N} > {DENSE_GUARD}")
     a = np.diag(np.sqrt(np.arange(1.0, N)), 1)
     nh = np.diag(np.arange(float(N)))
     I = np.eye(N)

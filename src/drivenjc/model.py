@@ -117,7 +117,10 @@ NMAX_LIMIT = 500
 def check_nmax(nmax: int) -> int:
     """nmax, if it is an accepted Fock truncation 1..NMAX_LIMIT."""
     if not 1 <= nmax <= NMAX_LIMIT:
-        raise ValueError(f"nmax must be in 1..{NMAX_LIMIT}, got {nmax}")
+        got = str(nmax)
+        if len(got) > 12:   # the truncation |alpha| = 1e154 implies: 309 digits
+            got = f"{got[:3]}... ({len(got.lstrip('-'))} digits)"
+        raise ValueError(f"nmax must be in 1..{NMAX_LIMIT}, got {got}")
     return nmax
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from drivenjc import liouville
+from drivenjc import entanglement, liouville
 from drivenjc.analytic import TAU_DEGENERACY, AnalyticSnapshot
 
 
@@ -34,3 +34,13 @@ def project_two_qubit(rho, alpha_plus, alpha_minus, nmax) -> np.ndarray:
     in the index convention of `two_qubit_density`."""
     basis = liouville._branch_basis(alpha_plus, alpha_minus, nmax)
     return np.einsum("fn,abnm,gm->fagb", basis.conj(), rho, basis).reshape(4, 4)
+
+
+def linear_entropy_general(rho: np.ndarray):
+    """Linear entropy S = 1 - Tr(rho^2) of a density matrix of any dimension,
+    or an array of them for a stack (..., d, d)."""
+    rho = np.asarray(rho, dtype=complex)
+    entanglement._check_density(rho)
+    purity = np.trace(rho @ rho, axis1=-2, axis2=-1).real
+    s = np.maximum(1.0 - purity, 0.0)
+    return float(s) if s.ndim == 0 else s

@@ -143,8 +143,8 @@ class TestObservables:
                 0.0, abs=1e-14)
 
     def test_entropy_at_vanishing_coherence(self):
-        s = an.AnalyticSnapshot(t=1.0, alpha_plus=0.1, alpha_minus=0.1,
-                                f=0.0, tau=0.9, c0=SQ2, c1=SQ2)
+        s = an.AnalyticSnapshot(alpha_plus=0.1, alpha_minus=0.1, f=0.0,
+                                tau=0.9, c0=SQ2, c1=SQ2)
         assert an.linear_entropy_analytic(s) == pytest.approx(0.5, abs=1e-14)
 
     def test_photon_number(self):

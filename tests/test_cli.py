@@ -217,6 +217,9 @@ class TestInputContract:
         ["verify", "--alpha-re", "100"],
         ["timeseries", "--oracle", "--nmax", "100000"],
         ["verify", "--nmax", "600"],
+        # a truncation of 309 and one of 400 digits, named by their count
+        ["verify", "--alpha-re", "1e154"],
+        ["params", "--nmax", "9" * 400],
     ])
     def test_fock_truncation_limit(self, argv, capsys):
         # default_nmax(100) is 10 810: rejected before any Fock-space array
@@ -224,6 +227,7 @@ class TestInputContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert str(liouville.NMAX_LIMIT) in captured.err
+        assert re.fullmatch(r"error: .{1,112}\n", captured.err)
 
     @pytest.mark.parametrize("value, code", [
         ("-1e-3", 0), ("-8.090525902826329e-05", 0), ("-.5", 0), ("-inf", 2)])
@@ -614,12 +618,14 @@ class TestVerify:
     def test_large_amplitude_passes(self, capsys):
         # the dyads are compared entry by entry, so the dyad stage's Fock
         # truncation must hold amplitudes, not only probabilities, to 1e-10;
-        # at a complex alpha the closed-form concurrence must be 0 at t = 0
-        for argv in (["--alpha-re", "2"], ["--alpha-im", "2"]):
+        # at a complex alpha the closed-form concurrence must be 0 at t = 0;
+        # at alpha = 0 the oracle steps a single Fock level, a (2, 1, 1) stack
+        for argv in (["--alpha-re", "2"], ["--alpha-im", "2"],
+                     ["--alpha-re", "0"]):
             rc = main(["verify", *argv])
             out = capsys.readouterr().out
             assert rc == 0, argv
-            assert "FAIL" not in out
+            assert out.count("PASS") == 7 and "FAIL" not in out
 
     @pytest.mark.parametrize("pairwise, dyad, good", [
         (np.nextafter(1e-8, 0), np.nextafter(1e-10, 0), True),

@@ -8,11 +8,12 @@ from scipy.linalg import expm
 
 from drivenjc import analytic as an
 from drivenjc import liouville as lv
-from drivenjc.entanglement import linear_entropy_general, wootters_concurrence
+from drivenjc.entanglement import wootters_concurrence
 from drivenjc.integrator import StepSizeUnderflow, rk45
 from drivenjc.model import NMAX_LIMIT, ModelParams, derive_params
 
-from _reference import project_two_qubit, two_qubit_density
+from _reference import (linear_entropy_general, project_two_qubit,
+                        two_qubit_density)
 
 
 class TestCoherentVector:
@@ -43,9 +44,8 @@ class TestCoherentVector:
             assert v[n] == pytest.approx(expected, abs=1e-15)
 
     def test_truncation_error(self):
-        with pytest.raises(lv.TruncationError) as exc:
+        with pytest.raises(ValueError, match=r"loses 9\.450e-01 norm at nmax=4"):
             lv.coherent_vector(3.0, 4)
-        assert exc.value.norm_loss > 1e-3
 
     def test_array_of_amplitudes(self):
         nmax = 15
@@ -57,9 +57,8 @@ class TestCoherentVector:
                                        lv.coherent_vector(alphas[idx], nmax),
                                        rtol=0, atol=1e-16)
         # one amplitude beyond the truncation fails the whole array
-        with pytest.raises(lv.TruncationError) as exc:
+        with pytest.raises(ValueError, match=r"alpha=\(3\+0j\) loses"):
             lv.coherent_vector([0.5, 3.0, 0.1], 4)
-        assert "alpha=(3+0j)" in str(exc.value)
 
 
 #: atom indices a, b of the field blocks rho[a, b], broadcast over (2, 2, N, N)
@@ -510,10 +509,6 @@ class TestSuperoperators:
                   + spec.c_l * (x @ nh) + spec.c_s * x)
         np.testing.assert_allclose((g @ x.ravel()).reshape(7, 7), direct,
                                    atol=1e-15)
-
-    def test_dimension_guard(self):
-        with pytest.raises(lv.DimensionGuard):
-            lv.dense_generator(lv.SuperopSpec(1.0, 0.0, 0.0), 70)
 
 
 class TestVerifyDisentangling:
