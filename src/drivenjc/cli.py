@@ -295,7 +295,7 @@ def cmd_params(args) -> int:
     report = {name: getattr(d, name) for name in (
         "delta1", "Omega1", "theta", "g_prime", "omega_prime", "delta2",
         "Omega_eff")}
-    report[f"dispersive_ratio(n={n_typ})"] = ratio
+    report[f"dispersive_ratio(n={model.short_int(n_typ)})"] = ratio
     _require_finite(list(report.values()))
     for name, value in report.items():
         print(f"{name:<11} = {_fmt(value)}")
@@ -473,7 +473,8 @@ def main(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):
             return COMMANDS[args.command][0](args)
-    except (ArithmeticError, MemoryError) as exc:
+    # no input is a density matrix: an invalid one is the oracle's own state
+    except (ArithmeticError, MemoryError, entanglement.InvalidDensityMatrix) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

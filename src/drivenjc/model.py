@@ -114,13 +114,17 @@ def derive_params(p: ModelParams) -> DerivedParams:
 NMAX_LIMIT = 500
 
 
+def short_int(n: int) -> str:
+    """n, or its first digits and digit count past 12 characters."""
+    s = str(n)
+    return s if len(s) <= 12 else f"{s[:3]}... ({len(s.lstrip('-'))} digits)"
+
+
 def check_nmax(nmax: int) -> int:
     """nmax, if it is an accepted Fock truncation 1..NMAX_LIMIT."""
     if not 1 <= nmax <= NMAX_LIMIT:
-        got = str(nmax)
-        if len(got) > 12:   # the truncation |alpha| = 1e154 implies: 309 digits
-            got = f"{got[:3]}... ({len(got.lstrip('-'))} digits)"
-        raise ValueError(f"nmax must be in 1..{NMAX_LIMIT}, got {got}")
+        raise ValueError(f"nmax must be in 1..{NMAX_LIMIT}, got "
+                         f"{short_int(nmax)}")
     return nmax
 
 

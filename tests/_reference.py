@@ -29,6 +29,14 @@ def two_qubit_density(s: AnalyticSnapshot) -> np.ndarray:
     return rho
 
 
+def make_rhs(spec: liouville.SuperopSpec, N: int):
+    """Right-hand side X -> spec X on the last two axes (Fock dimension N):
+    the Lindblad action of a block generator, applied term by term."""
+    n = np.arange(float(N))
+    diag = spec.c_r * n[:, None] + spec.c_l * n + spec.c_s
+    return lambda _t, X: diag * X + spec.c_m * liouville._lower(X)
+
+
 def project_two_qubit(rho, alpha_plus, alpha_minus, nmax) -> np.ndarray:
     """Field blocks rho[a, b] projected onto the oracle's two-branch basis,
     in the index convention of `two_qubit_density`."""

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from drivenjc import cli, liouville
 from drivenjc.cli import OPTIONS, main
+from drivenjc.entanglement import InvalidDensityMatrix
 from drivenjc.integrator import StepSizeUnderflow
 
 
@@ -58,6 +59,16 @@ class TestParams:
 
     def test_degenerate_input_exits_2(self):
         assert main(["params", "--omega", "1.9"]) == 2
+
+    @pytest.mark.parametrize("argv", [[], ["--alpha-re", "1e154"]])
+    def test_short_lines(self, argv, capsys):
+        # at |alpha| = 1e154 the photon number ceil(|alpha|^2) has 309
+        # digits; the ratio's key names it by its digit count
+        assert main(["params", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 8 and all(len(line) < 80 for line in lines)
+        if argv:
+            assert lines[-1].startswith("dispersive_ratio(n=100... (309 digits))")
 
 
 class TestTimeseries:
@@ -109,16 +120,21 @@ class TestTimeseries:
     def test_bad_steps_exits_2(self):
         assert main(["timeseries", "--steps", "1"]) == 2
 
-    @pytest.mark.parametrize("error", [FloatingPointError, StepSizeUnderflow])
+    @pytest.mark.parametrize("error", [FloatingPointError, StepSizeUnderflow,
+                                       InvalidDensityMatrix, None])
     def test_oracle_numerical_failure_exits_3(self, error, capsys, monkeypatch):
+        # unpatched (None), the input is valid, but at Omega t = 1e11 rad the
+        # oracle's state is no longer a density matrix within tolerance
         def failing(*args):
             raise error("oracle failed")
 
-        monkeypatch.setattr(liouville, "oracle_series", failing)
-        assert main(["timeseries", "--oracle", "--steps", "5"]) == 3
+        if error is not None:
+            monkeypatch.setattr(liouville, "oracle_series", failing)
+        assert main(["timeseries", "--oracle", "--kappa", "0", "--t-end",
+                     "1e14", "--steps", "3"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert re.fullmatch(r"error: [^\n]+\n", captured.err)
 
 
 class TestConfigPrecedence:
@@ -175,8 +191,8 @@ class TestInputContract:
         # |alpha| = 1 loses 1.9e-2 norm at nmax 3
         (["verify", "--nmax", "3"], 2),
         (["timeseries", "--t-start", "100", "--t-end", "0", "--steps", "3"], 2),
-        # rk45's step floor: its first step from t = 0 underflows
-        (["verify", "--kappa", "1e300"], 3),
+        # kappa t = 1e309: the disentangling routes overflow
+        (["verify", "--kappa", "1e308"], 3),
         # an explicit --nmax outside 1..NMAX_LIMIT, also where no oracle runs
         (["timeseries", "--nmax", "-5"], 2),
         (["fig3", "--nmax", "0", "--output", "d"], 2),
@@ -600,12 +616,37 @@ class TestVerify:
         assert "FAIL" not in out
 
     def test_oracle_overflow_exits_3(self, capsys, monkeypatch):
-        # a non-finite oracle state is a numerical failure, which the
-        # stage-2 Wootters eigensolver used to report as invalid input
+        # a non-finite exponential is a numerical failure; stage 1 meets it
+        # first, before any verdict
+        monkeypatch.setattr(liouville, "expm",
+                            lambda A: np.full(A.shape, np.inf, dtype=complex))
+        assert main(["verify"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: .+\n", captured.err)
+
+    def test_oracle_stage_overflow_exits_3(self, capsys, monkeypatch):
+        # a non-finite oracle state, which the stage-2 Wootters eigensolver
+        # used to report as invalid input
+        monkeypatch.setattr(liouville, "verify_disentangling",
+                            lambda *args: (0.0, 0.0))
         monkeypatch.setattr(liouville, "expm",
                             lambda A: np.full(A.shape, np.inf, dtype=complex))
         assert main(["verify"]) == 3
         assert "oracle state overflowed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        # dispersive ratio 0.197 at Omega = 9.763: Omega t = 4.9e3 rad at
+        # t = 500, a phase that every route must follow to 1e-8
+        ["--omega", "-500", "--g", "70"],
+        # stiff decay, kappa t up to 5e302: the exact routes stay finite
+        ["--kappa", "1e10"],
+        ["--kappa", "1e300"],
+    ])
+    def test_exact_routes_pass(self, argv, capsys):
+        assert main(["verify", *argv]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 7 and "FAIL" not in out
 
     def test_long_horizon_passes(self, capsys):
         # steps of 6.7e298 decay the state fully; every check still holds

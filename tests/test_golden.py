@@ -54,9 +54,8 @@ CASES = {
     "sweep2d_bad_axis": ["sweep2d", "--axis1", "foo:0:1", "--axis2", "kappa:0:1"],
 }
 
-#: verify's deviations are rounding-level numbers of its exact routes and
-#: the tolerance-level error of its rk45 leg; only verdicts and names are
-#: pinned
+#: verify's deviations are rounding-level numbers of its exact routes;
+#: only verdicts and names are pinned
 _NOISE = re.compile(r"(pairwise_dev|dyad_err|max_dev)=\S+")
 _TOKENS = re.compile(r"([\s,=()]+)")
 

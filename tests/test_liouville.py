@@ -12,7 +12,7 @@ from drivenjc.entanglement import wootters_concurrence
 from drivenjc.integrator import StepSizeUnderflow, rk45
 from drivenjc.model import NMAX_LIMIT, ModelParams, derive_params
 
-from _reference import (linear_entropy_general, project_two_qubit,
+from _reference import (linear_entropy_general, make_rhs, project_two_qubit,
                         two_qubit_density)
 
 
@@ -77,9 +77,9 @@ def to_joint(blocks):
 
 
 def lindblad_rhs(Omega, rho, kappa):
-    """The Lindblad right-hand side of verify's rk45 leg, on all four blocks."""
+    """The Lindblad right-hand side of `generator`, on all four blocks."""
     spec = lv.generator(Omega, kappa, *BLOCKS)
-    return lv._make_rhs(spec, rho.shape[-1])(0.0, rho)
+    return make_rhs(spec, rho.shape[-1])(0.0, rho)
 
 
 def level_shift_rhs(v):
@@ -121,7 +121,7 @@ class TestInteractionV:
         joint = lindblad_rhs(Om, x, k)
         for a in range(2):
             for b in range(2):
-                one = lv._make_rhs(lv.generator(Om, k, a, b), 7)(0.0, x[a, b])
+                one = make_rhs(lv.generator(Om, k, a, b), 7)(0.0, x[a, b])
                 np.testing.assert_allclose(one, joint[a, b], rtol=0, atol=1e-15)
 
 
@@ -522,17 +522,33 @@ class TestVerifyDisentangling:
         assert pairwise < 1e-8
         assert dyad < 1e-10
 
-    def test_one_rk45_run_per_call(self, monkeypatch):
-        # all four blocks and every test matrix go through a single run
-        shapes = []
+    @pytest.mark.parametrize("Omega", [9.763, -10.0])
+    def test_large_dispersive_shift(self, Omega):
+        # Omega t of about 5e3 rad at t = 500; Omega = 9.763 is the dispersive
+        # shift of verify --omega -500 --g 70, and -10 that of --omega 1.90001
+        pairwise, dyad = lv.verify_disentangling(Omega, 1e-3, 500.0, 1.0)
+        assert pairwise < 1e-11
+        assert dyad < 1e-10
 
-        def counted(f, y0, *args):
-            shapes.append(y0.shape)
-            return rk45(f, y0, *args)
+    def test_never_calls_rk45(self, monkeypatch):
+        # route (c) is one exact step of integrate per test state
+        rk45_calls, steps = [], []
+        integrate = lv.integrate
 
-        monkeypatch.setattr(lv, "rk45", counted)
+        def counted(Omega, kappa, rho0, t_start, dt, count):
+            steps.append((rho0.shape, t_start, count))
+            return integrate(Omega, kappa, rho0, t_start, dt, count)
+
+        monkeypatch.setattr(lv, "rk45", lambda *args: rk45_calls.append(args))
+        monkeypatch.setattr(lv, "integrate", counted)
         lv.verify_disentangling(1e-3, 1e-3, 100.0, 1.0)
-        assert shapes == [(lv.VERIFY_MATRICES, 4, 7, 7)]
+        assert rk45_calls == []
+        assert steps == [((2, 2, 7, 7), 100.0, 1)] * lv.VERIFY_MATRICES
+
+    def test_overflow_raises(self):
+        with np.errstate(all="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite"):
+            lv.verify_disentangling(1e-3, 1e308, 10.0, 1.0)
 
 
 class TestTruncationConvergence:
