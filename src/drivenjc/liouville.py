@@ -3,8 +3,9 @@
 Everything the closed-form path claims is re-derived here by independent
 means: the master equation is propagated exactly in a truncated Fock
 space, by matrix exponentials of its invariant diagonals, and the
-disentangled superoperator exponentials are checked against dense matrix
-exponentials of the vectorized generators and against that propagator.
+disentangled superoperator exponentials, applied to operators given as
+factors U Wdag, are checked against dense matrix exponentials of the
+vectorized generators and against that propagator.
 Every exponential is this module's numpy `expm`, so nothing loads scipy.
 
 The dressed atom never flips in the dispersive model, so the joint state
@@ -26,7 +27,6 @@ from .model import (NMAX_LIMIT, DerivedParams, ModelParams, check_nmax,
                     default_nmax)
 
 TRUNC_TOL = 1e-10   # admissible norm loss of a coherent state at nmax
-SERIES_TOL = 1e-12
 #: random Hermitian test operators per generator in verify_disentangling,
 #: the seed they are drawn from, and the Fock truncation of its dense check
 VERIFY_MATRICES = 3
@@ -110,15 +110,6 @@ def coherent_vector(alpha, nmax: int) -> np.ndarray:
             f"{norm_loss[worst]:.3e} norm at nmax={nmax} "
             f"(tol {TRUNC_TOL:.3e})")
     return vec
-
-
-def _lower(X: np.ndarray) -> np.ndarray:
-    """a X adag on the last two axes: X shifted up one Fock level in both
-    indices, times sqrt(n+1) sqrt(m+1); the top row and column are zero."""
-    root = np.sqrt(np.arange(1.0, X.shape[-1]))
-    out = np.zeros_like(X)
-    out[..., :-1, :-1] = X[..., 1:, 1:] * (root[:, None] * root)
-    return out
 
 
 def initial_blocks(c0: complex, c1: complex, field_vec: np.ndarray) -> np.ndarray:
@@ -316,35 +307,34 @@ def _phi(z):
     return np.where(z == 0, 1.0, np.expm1(z_safe) / z_safe)
 
 
-def apply_factorized(spec: SuperopSpec, X: np.ndarray, t: float) -> np.ndarray:
-    """Apply exp(spec * t) to X via the ordered product of exponentials.
+def apply_factorized(spec: SuperopSpec, U: np.ndarray, W: np.ndarray,
+                     t: float) -> np.ndarray:
+    """Apply exp(spec * t) to X = U Wdag, U and W (..., N, k) stacks, as
+    exp(c_s t) exp(c_r t R) exp(c_l t L) exp(m M).
 
-    exp(c_s t) exp(c_r t R) exp(c_l t L) exp(m M): the M factor is an
-    operator series, the R and L factors diagonal scalings.  M lowers both
-    Fock indices, so M^N = 0 and the series is exact by j = N - 1; it stops
-    earlier once a term, scaled as the R and L factors scale each entry,
-    falls below SERIES_TOL of the scaled sum.
+    R and L scale each entry.  M^j X = (a^j U)(a^j W)dag and M^N = 0, so
+    with s^2 = m, exp(m M) X is one product: the N factors s^j a^j U /
+    sqrt(j!) side by side, times the adjoint of conj(s)^j a^j W / sqrt(j!).
     The shift algebra [R, M] = [L, M] = -M gives m = c_m t phi((c_r + c_l) t),
     which stays bounded under decay (1 - exp(-2 kappa t) for a population
     block).  With the M factor on the left its coefficient would grow as
-    exp(2 kappa t), and its series would cancel against the
-    exp(-kappa t n) scalings.  X may be a stack (..., N, N).
+    exp(2 kappa t), and its terms would cancel against the
+    exp(-kappa t n) scalings.
     """
-    X = np.asarray(X, dtype=complex)
-    n = np.arange(float(X.shape[-1]))
-    m = spec.c_m * t * _phi((spec.c_r + spec.c_l) * t)
-    left = np.exp(spec.c_r * t * n[:, None])
-    right = np.exp(spec.c_l * t * n)
-    weight = np.abs(left * right)
-    acc = X.copy()
-    term = X
-    for j in range(1, len(n)):
-        term = (m / j) * _lower(term)
-        acc = acc + term
-        if np.all(np.max(np.abs(term) * weight, axis=(-2, -1))
-                  <= SERIES_TOL * np.max(np.abs(acc) * weight, axis=(-2, -1))):
-            break
-    return np.exp(spec.c_s * t) * (left * acc * right)
+    N = U.shape[-2]
+    n = np.arange(float(N))
+    s = np.sqrt(spec.c_m * t * _phi((spec.c_r + spec.c_l) * t))
+    stacks = []
+    for Y, r in ((U, s), (W, np.conj(s))):
+        *shape, k = np.broadcast_shapes(np.shape(r), Y.shape)
+        stacks.append(np.zeros((*shape, N * k), dtype=complex))
+        # a^j Y is zero below row N - j, so only its top rows are stepped
+        for j in range(N):
+            stacks[-1][..., :N - j, j * k:(j + 1) * k] = Y
+            Y = r * np.sqrt(n[1:N - j, None] / (j + 1)) * Y[..., 1:, :]
+    X = stacks[0] @ np.swapaxes(stacks[1], -1, -2).conj()
+    return (np.exp(spec.c_s * t) * np.exp(spec.c_r * t * n[:, None]) * X
+            * np.exp(spec.c_l * t * n))
 
 
 def dense_generator(spec: SuperopSpec, nmax: int) -> np.ndarray:
@@ -367,15 +357,16 @@ def verify_disentangling(Omega: float, kappa: float, t: float,
                          alpha: complex) -> tuple[float, float]:
     """Cross-check the factorized exponentials three independent ways.
 
-    VERIFY_MATRICES random Hermitian block states at nmax VERIFY_NMAX go
+    VERIFY_MATRICES random Hermitian block states X at nmax VERIFY_NMAX go
     through (a) the dense matrix exponential of each block's vectorized
-    generator, (b) the factorized product of exponentials and (c) one exact
-    step of `integrate`, the oracle's propagator.  Also applies the
-    factorized product to the initial coherent dyad of |alpha>.  Returns
-    (pairwise, dyad): the largest deviation between two routes, relative to
-    the largest entry, and the largest entrywise error of the dyad against
-    its closed-form image, each over all four blocks, for the caller to
-    judge.  A non-finite route raises FloatingPointError.
+    generator, (b) the factorized product on the factors (X, I) and (c) one
+    exact step of `integrate`, the oracle's propagator.  Also applies (b) to
+    the coherent dyad |alpha><alpha|/2, given as the factors
+    |alpha>/sqrt(2) twice.  Returns (pairwise, dyad): the largest deviation
+    between two routes, relative to the largest entry, and the largest
+    entrywise error of the dyad against its closed-form image, each over
+    all four blocks, for the caller to judge.  A non-finite route raises
+    FloatingPointError.
     """
     A, B = np.array([[0, 1, 0, 1], [0, 1, 1, 0]])   # blocks L00 L11 L01 L10
     spec = generator(Omega, kappa, A[:, None, None], B[:, None, None])
@@ -388,7 +379,7 @@ def verify_disentangling(Omega: float, kappa: float, t: float,
     X = rho[:, A, B]   # X[i, k]: block k of test state i
     routes = np.stack([
         (prop @ X.reshape(*X.shape[:2], N * N, 1)).reshape(X.shape),
-        apply_factorized(spec, X, t),
+        apply_factorized(spec, X, np.eye(N), t),
         [next(integrate(Omega, kappa, r, t, 0.0, 1))[A, B] for r in rho],
     ])
     if not np.all(np.isfinite(routes)):
@@ -406,12 +397,11 @@ def verify_disentangling(Omega: float, kappa: float, t: float,
     # default_nmax(alpha).
     nmax = max(default_nmax(alpha),
                min(NMAX_LIMIT, default_nmax(2.0 * abs(alpha))))
-    v0 = coherent_vector(alpha, nmax)
-    dyad = 0.5 * np.outer(v0, v0.conj())
     a_plus, a_minus, f = analytic.branches(alpha, kappa, Omega, t)
     branch = coherent_vector(np.array([a_plus, a_minus]), nmax)
     weight = np.array([[1.0, f], [np.conj(f), 1.0]])
     target = 0.5 * np.einsum("k,kn,km->knm", weight[A, B], branch[A],
                              branch[B].conj())
-    err = np.max(np.abs(apply_factorized(spec, dyad, t) - target))
+    half = coherent_vector(alpha, nmax)[:, None] / math.sqrt(2.0)
+    err = np.max(np.abs(apply_factorized(spec, half, half, t) - target))
     return float(pairwise), float(err)

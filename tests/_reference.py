@@ -34,7 +34,8 @@ def make_rhs(spec: liouville.SuperopSpec, N: int):
     the Lindblad action of a block generator, applied term by term."""
     n = np.arange(float(N))
     diag = spec.c_r * n[:, None] + spec.c_l * n + spec.c_s
-    return lambda _t, X: diag * X + spec.c_m * liouville._lower(X)
+    a = np.diag(np.sqrt(n[1:]), 1)
+    return lambda _t, X: diag * X + spec.c_m * (a @ X @ a.T)
 
 
 def project_two_qubit(rho, alpha_plus, alpha_minus, nmax) -> np.ndarray:

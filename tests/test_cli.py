@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drivenjc import cli, liouville
+from drivenjc import cli, liouville, model
 from drivenjc.cli import OPTIONS, main
 from drivenjc.entanglement import InvalidDensityMatrix
 from drivenjc.integrator import StepSizeUnderflow
@@ -387,6 +387,51 @@ def test_verify_gives_verdicts_or_exit_code(values):
         assert lines == []
     if code in (0, 1):
         assert (code == 1) == any(ln.startswith("FAIL ") for ln in lines)
+
+
+def valid_verify_inputs(seed, count):
+    """`count` seeded `verify` flag lists from its declared valid range.
+
+    omega = 2 and omega0 = 1.9; complex alpha uniform over the disc
+    |alpha| <= 4; kappa = 0 with probability 0.15, else log-uniform on
+    [1e-4, 1]; g log-uniform on [1e-3, 5e-2]; lambda and omega_c each
+    uniform on [0, 1]; (c0, c1) from a normalised Gaussian 4-vector; t_end
+    uniform on [1, 500].  Draws that are degenerate, or whose
+    dispersive_ratio at n = ceil(|alpha|^2) exceeds DISPERSIVE_THRESHOLD,
+    are skipped.
+    """
+    rng = np.random.default_rng(seed)
+    inputs = []
+    while len(inputs) < count:
+        r, phase = rng.uniform(size=2)
+        alpha = 4.0 * np.sqrt(r) * np.exp(2j * np.pi * phase)
+        c = rng.normal(size=4)
+        c /= np.linalg.norm(c)
+        kappa = 0.0 if rng.uniform() < 0.15 else 10 ** rng.uniform(-4, 0)
+        values = {"omega": 2.0, "omega0": 1.9, "kappa": kappa,
+                  "g": 10 ** rng.uniform(-3, math.log10(5e-2)),
+                  "lambda": rng.uniform(), "omega_c": rng.uniform(),
+                  "alpha_re": alpha.real, "alpha_im": alpha.imag,
+                  "c0_re": c[0], "c0_im": c[1], "c1_re": c[2], "c1_im": c[3],
+                  "t_end": rng.uniform(1, 500)}
+        argv = _flags({k: repr(float(v)) for k, v in values.items()})
+        args = cli.make_parser().parse_args(["verify", *argv])
+        p = cli.model_params(cli.build_config(args))
+        try:
+            d = model.derive_params(p)
+        except model.DegenerateDispersive:
+            continue
+        n = math.ceil(abs(p.alpha) ** 2)
+        if model.dispersive_ratio(d, n) <= model.DISPERSIVE_THRESHOLD:
+            inputs.append(argv)
+    return inputs
+
+
+@pytest.mark.parametrize("argv", valid_verify_inputs(seed=1, count=50))
+def test_verify_passes_across_valid_range(argv, capsys):
+    assert main(["verify", *argv]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 7 and "FAIL" not in out
 
 
 class TestSweep2d:

@@ -403,7 +403,8 @@ def m_coefficient(spec, t):
     """
     x = np.zeros((7, 7), dtype=complex)
     x[1, 1] = 1.0
-    return lv.apply_factorized(spec, x, t)[0, 0] / cmath.exp(spec.c_s * t)
+    return (lv.apply_factorized(spec, x, np.eye(7), t)[0, 0]
+            / cmath.exp(spec.c_s * t))
 
 
 class TestSuperoperators:
@@ -428,15 +429,15 @@ class TestSuperoperators:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
         spec = lv.generator(1e-3, 1e-3, 0, 1)
-        np.testing.assert_allclose(lv.apply_factorized(spec, x, 0.0), x,
-                                   atol=1e-15)
+        out = lv.apply_factorized(spec, x, np.eye(7), 0.0)
+        np.testing.assert_allclose(out, x, atol=1e-15)
 
     def test_dyad_decay_block(self):
         Om, k, t, alpha = -1e-3, 1e-3, 100.0, 1.0
         nmax = 20
         v0 = lv.coherent_vector(alpha, nmax)
-        out = lv.apply_factorized(lv.generator(Om, k, 0, 0),
-                                  0.5 * np.outer(v0, v0.conj()), t)
+        half = v0[:, None] / math.sqrt(2.0)
+        out = lv.apply_factorized(lv.generator(Om, k, 0, 0), half, half, t)
         ap = alpha * cmath.exp(-(k + 1j * Om) * t)
         vp = lv.coherent_vector(ap, nmax)
         np.testing.assert_allclose(out, 0.5 * np.outer(vp, vp.conj()),
@@ -451,8 +452,8 @@ class TestSuperoperators:
         assert d.Omega_eff == pytest.approx(Om, rel=1e-12)
         s = an.evolve(p, d, t)
         v0 = lv.coherent_vector(alpha, nmax)
-        out = lv.apply_factorized(lv.generator(Om, k, 0, 1),
-                                  0.5 * np.outer(v0, v0.conj()), t)
+        half = v0[:, None] / math.sqrt(2.0)
+        out = lv.apply_factorized(lv.generator(Om, k, 0, 1), half, half, t)
         vp = lv.coherent_vector(s.alpha_plus, nmax)
         vm = lv.coherent_vector(s.alpha_minus, nmax)
         np.testing.assert_allclose(out, 0.5 * s.f * np.outer(vp, vm.conj()),
@@ -466,14 +467,11 @@ class TestSuperoperators:
         spec = lv.generator(-1e-3, 1e-2, 0, 0)  # m = 1 - e^{-2kt}, about 1
         dense = (expm(lv.dense_generator(spec, 6) * 500.0)
                  @ x.ravel()).reshape(7, 7)
-        out = lv.apply_factorized(spec, x, 500.0)
+        out = lv.apply_factorized(spec, x, np.eye(7), 500.0)
         assert np.max(np.abs(out - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("a, b", [(0, 0), (0, 1)])
     def test_dyad_matches_dense_route(self, a, b):
-        # the early exit weighs each entry by its R and L scaling; unweighted,
-        # it stopped while terms still mattered at the low, slowly decaying
-        # Fock levels
         spec = lv.generator(-1e-3, 1e-3, a, b)
         nmax = 31
         # |3.5> cut at nmax 31 (it loses 1.9e-6 norm there)
@@ -481,8 +479,19 @@ class TestSuperoperators:
         dyad = 0.5 * np.outer(v0, v0.conj())
         dense = (expm(lv.dense_generator(spec, nmax) * 500.0)
                  @ dyad.ravel()).reshape(dyad.shape)
-        np.testing.assert_allclose(lv.apply_factorized(spec, dyad, 500.0),
-                                   dense, rtol=0, atol=1e-13)
+        half = v0[:, None] / math.sqrt(2.0)
+        out = lv.apply_factorized(spec, half, half, 500.0)
+        np.testing.assert_allclose(out, dense, rtol=0, atol=1e-13)
+
+    def test_rank_two_factors_match_full_operand(self):
+        # U W^dagger of rank 2 against the same operator as (X, I)
+        rng = np.random.default_rng(21)
+        draw = rng.normal(size=(2, 2, 12, 2))
+        u, w = draw[0] + 1j * draw[1]
+        spec = lv.generator(-1e-3, 1e-2, 0, 1)
+        full = lv.apply_factorized(spec, u @ w.conj().T, np.eye(12), 100.0)
+        out = lv.apply_factorized(spec, u, w, 100.0)
+        assert np.max(np.abs(out - full)) < 1e-14
 
     def test_dense_generator_left_multiplication(self):
         spec = lv.SuperopSpec(c_m=0.0, c_r=0.7, c_l=0.0)
@@ -528,6 +537,12 @@ class TestVerifyDisentangling:
         # shift of verify --omega -500 --g 70, and -10 that of --omega 1.90001
         pairwise, dyad = lv.verify_disentangling(Omega, 1e-3, 500.0, 1.0)
         assert pairwise < 1e-11
+        assert dyad < 1e-10
+
+    @pytest.mark.parametrize("t", [10.0, 100.0, 500.0])
+    def test_large_amplitude_dyad(self, t):
+        # |alpha| = 18: the dyad stage runs at nmax 500, the largest accepted
+        _, dyad = lv.verify_disentangling(-1e-3, 1e-3, t, 18.0)
         assert dyad < 1e-10
 
     def test_never_calls_rk45(self, monkeypatch):
