@@ -42,23 +42,14 @@ _UPPER = np.array([[True, True], [True, False]])[:, None, None, :]
 #: log n! for n < 2 (NMAX_LIMIT + 1): the coherent amplitudes and the
 #: binomial weights D of `integrate` up to the largest accepted truncation
 _LOG_FACT = np.array([math.lgamma(n + 1.0) for n in range(2 * NMAX_LIMIT + 2)])
-#: Pade degree m of `expm` -> (theta_m, the largest 1-norm it takes without
-#: scaling, and the coefficients b_0..b_m of its approximant), from Higham,
+#: theta_13, the largest 1-norm the degree-13 Pade approximant of `expm`
+#: takes without scaling, and its coefficients b_0..b_13, from Higham,
 #: SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3 and eq. (2.3).
-_PADE = {
-    3: (1.495585217958292e-2, (120., 60., 12., 1.)),
-    5: (2.539398330063230e-1, (30240., 15120., 3360., 420., 30., 1.)),
-    7: (9.504178996162932e-1, (17297280., 8648640., 1995840., 277200.,
-                               25200., 1512., 56., 1.)),
-    9: (2.097847961257068e0, (17643225600., 8821612800., 2075673600.,
-                              302702400., 30270240., 2162160., 110880.,
-                              3960., 90., 1.)),
-    13: (5.371920351148152e0, (64764752532480000., 32382376266240000.,
-                               7771770303897600., 1187353796428800.,
-                               129060195264000., 10559470521600.,
-                               670442572800., 33522128640., 1323241920.,
-                               40840800., 960960., 16380., 182., 1.)),
-}
+_THETA_13 = 5.371920351148152
+_PADE_13 = (64764752532480000., 32382376266240000., 7771770303897600.,
+            1187353796428800., 129060195264000., 10559470521600.,
+            670442572800., 33522128640., 1323241920., 40840800., 960960.,
+            16380., 182., 1.)
 
 
 @dataclass(frozen=True)
@@ -122,8 +113,10 @@ def initial_blocks(c0: complex, c1: complex, field_vec: np.ndarray) -> np.ndarra
 def expm(A: np.ndarray) -> np.ndarray:
     """Complex matrix exponential of each matrix of the stack A (..., n, n).
 
-    Pade scaling and squaring (Higham 2005): the lowest degree m whose
-    theta_m bounds the largest 1-norm of the stack, else m = 13 on A / 2^s.
+    Pade scaling and squaring (Higham 2005): the degree-13 approximant of
+    A / 2^s, with the smallest s >= 0 that brings the largest 1-norm of the
+    stack under theta_13, formed as I + 2 (V - U)^-1 U so that a zero stack
+    gives exactly I.
     When it squares an upper triangular stack, each square has its
     diagonal and superdiagonal rewritten from their exact values: exp(a_jj)
     and a_j,j+1 times the divided difference of exp over a_jj, a_j+1,j+1
@@ -132,23 +125,21 @@ def expm(A: np.ndarray) -> np.ndarray:
     """
     A = np.asarray(A, dtype=complex)
     norm = np.max(np.sum(np.abs(A), axis=-2), initial=0.0)
-    m = next((m for m, (theta, _) in _PADE.items() if norm <= theta), 13)
-    s = (max(0, math.ceil(math.log2(norm / _PADE[13][0])))
-         if m == 13 and np.isfinite(norm) else 0)
+    s = (math.ceil(math.log2(norm / _THETA_13))
+         if _THETA_13 < norm < math.inf else 0)
     X = A * 2.0**-s
-    b = _PADE[m][1]
-    # even powers I, X^2, ..., X^(m-1); for m = 13 up to X^6, which then
-    # carries the coefficients b_8.. of the higher powers
+    b = _PADE_13
+    # even powers I, X^2, X^4, X^6; X^6 then carries the coefficients b_8..
+    # of the higher powers
     P = [np.eye(A.shape[-1]), X @ X]
-    while len(P) < (m // 2 + 1 if m < 13 else 4):
-        P.append(P[-1] @ P[1])
-    odd = sum(c * Pk for c, Pk in zip(b[1::2], P))
-    even = sum(c * Pk for c, Pk in zip(b[0::2], P))
-    if m == 13:
-        odd = odd + P[3] @ sum(c * Pk for c, Pk in zip(b[9::2], P[1:]))
-        even = even + P[3] @ sum(c * Pk for c, Pk in zip(b[8::2], P[1:]))
+    P.append(P[1] @ P[1])
+    P.append(P[2] @ P[1])
+    odd = (sum(c * Pk for c, Pk in zip(b[1::2], P))
+           + P[3] @ sum(c * Pk for c, Pk in zip(b[9::2], P[1:])))
+    even = (sum(c * Pk for c, Pk in zip(b[0::2], P))
+            + P[3] @ sum(c * Pk for c, Pk in zip(b[8::2], P[1:])))
     U = X @ odd
-    E = np.linalg.solve(even - U, even + U)
+    E = P[0] + 2.0 * np.linalg.solve(even - U, U)
     upper = s > 0 and not np.any(np.tril(A, -1))
     j = np.arange(A.shape[-1])
     for i in range(s, -1, -1):

@@ -209,6 +209,12 @@ class TestInputContract:
         (["verify", "--alpha-re", "1e200"], 2),
         (["params", "--alpha-re", "1e200"], 2),
         (["timeseries", "--oracle", "--alpha-re", "1e200", "--steps", "3"], 2),
+        # above VERIFY_ALPHA_LIMIT: the dyad check's nmax 500 cannot hold
+        # |alpha> (dyad_err 2.9e-10 at t = 10)
+        (["verify", "--alpha-re", "18.45"], 2),
+        # phases above VERIFY_PHASE_LIMIT: 1e11 rad, and 5e303 rad at g = 1e150
+        (["verify", "--kappa", "0", "--t-end", "1e14"], 2),
+        (["verify", "--g", "1e150"], 2),
     ])
     def test_exit_code_without_output(self, argv, code, capsys, tmp_path,
                                       monkeypatch):
@@ -689,6 +695,30 @@ class TestVerify:
         ["--kappa", "1e300"],
     ])
     def test_exact_routes_pass(self, argv, capsys):
+        assert main(["verify", *argv]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 7 and "FAIL" not in out
+
+    @pytest.mark.parametrize("argv, bound", [
+        (["--alpha-re", "18.45"], cli.VERIFY_ALPHA_LIMIT),
+        (["--kappa", "0", "--t-end", "1e14"], cli.VERIFY_PHASE_LIMIT),
+        (["--g", "1e150"], cli.VERIFY_PHASE_LIMIT),
+    ])
+    def test_unresolvable_input_names_its_bound(self, argv, bound, capsys):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"error: .*{re.escape(f'{bound:g}')}.*\n",
+                            captured.err)
+
+    @pytest.mark.parametrize("argv", [
+        ["--alpha-re", "18.25"],
+        # a phase of 3e6 rad, the largest accepted at kappa = 0
+        ["--kappa", "0", "--t-end", "3e9"],
+        # decay caps the phase at |Omega_eff| / kappa = 1e6 rad
+        ["--kappa", "1e-9", "--t-end", "1e14"],
+    ])
+    def test_largest_accepted_inputs_pass(self, argv, capsys):
         assert main(["verify", *argv]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 7 and "FAIL" not in out

@@ -336,9 +336,12 @@ def oracle_generators(Omega, kappa, h, nmax):
 
 
 class TestExpm:
-    # the Pade degree bounds theta_m, on both sides, and the squaring range
+    # either side of the bounds theta_3 .. theta_9 of Higham's lower Pade
+    # degrees and theta_13, and the squaring range
     @pytest.mark.parametrize("norm", [
-        *(theta * side for theta, _ in lv._PADE.values() for side in (0.99, 1.01)),
+        *(theta * side for theta in (
+            1.495585217958292e-2, 0.2539398330063230, 0.9504178996162932,
+            2.097847961257068, 5.371920351148152) for side in (0.99, 1.01)),
         50.0, 1e3])
     @pytest.mark.parametrize("n", [2, 9])
     def test_random_stacks(self, norm, n):
@@ -370,6 +373,14 @@ class TestExpm:
         np.zeros((4, 4)), np.array([[2.5 - 1j]]), np.array([[-300.0]])])
     def test_small_cases(self, A):
         assert_matches_scipy(A)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1, 1), (2, 21, 21),
+                                       (4, 49, 49)])
+    def test_zero_is_exactly_identity(self, shape):
+        # the vacuum's generator is zero; solve(V - U, V + U) with
+        # b_0 = 6.5e16 would round its propagator below 1
+        E = lv.expm(np.zeros(shape))
+        assert np.array_equal(E, np.broadcast_to(np.eye(shape[-1]), shape))
 
     def test_dense_generator(self):
         spec = lv.generator(0.3, 0.5, *BLOCKS)
