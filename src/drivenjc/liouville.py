@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, entanglement
-# no code here calls rk45; the benchmark's tracer looks it up by this name
-from .integrator import rk45
 from .model import (NMAX_LIMIT, DerivedParams, ModelParams, check_nmax,
                     default_nmax)
 
+# read by name only by benchmarks/tracing.py; deleted with it (ROADMAP item 1)
+rk45 = None
 TRUNC_TOL = 1e-10   # admissible norm loss of a coherent state at nmax
 #: random Hermitian test operators per generator in verify_disentangling,
 #: the seed they are drawn from, and the Fock truncation of its dense check

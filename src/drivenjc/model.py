@@ -142,10 +142,14 @@ def dispersive_ratio(d: DerivedParams, n: int) -> float:
     """Perturbation-strength ratio sqrt(n+1) g' / |delta2| at photon number n.
 
     The dispersive treatment is trustworthy when this is small; compare
-    against DISPERSIVE_THRESHOLD.
+    against DISPERSIVE_THRESHOLD.  A scalar delta2 = 0 raises
+    DegenerateDispersive; degenerate cells of an array are NaN, as in
+    `Omega_eff`.
     """
     if np.any(np.less(n, 0)):
         raise ValueError(f"photon number must be >= 0, got {n}")
-    if np.any(np.equal(d.delta2, 0)):
+    if np.ndim(d.delta2) == 0 and d.delta2 == 0:
         raise DegenerateDispersive("delta2 = 0: dispersive ratio undefined")
-    return np.sqrt(n + 1.0) * d.g_prime / np.abs(d.delta2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sqrt(n + 1.0) * d.g_prime / np.abs(d.delta2)
+    return np.where(d.degenerate, np.nan, ratio)[()]

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from drivenjc import cli, liouville, model
 from drivenjc.cli import OPTIONS, main
 from drivenjc.entanglement import InvalidDensityMatrix
-from drivenjc.integrator import StepSizeUnderflow
 
 
 def parse_report(text):
@@ -120,7 +119,7 @@ class TestTimeseries:
     def test_bad_steps_exits_2(self):
         assert main(["timeseries", "--steps", "1"]) == 2
 
-    @pytest.mark.parametrize("error", [FloatingPointError, StepSizeUnderflow,
+    @pytest.mark.parametrize("error", [FloatingPointError, OverflowError,
                                        InvalidDensityMatrix, None])
     def test_oracle_numerical_failure_exits_3(self, error, capsys, monkeypatch):
         # unpatched (None), the input is valid, but at Omega t = 1e11 rad the
@@ -135,6 +134,23 @@ class TestTimeseries:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(r"error: [^\n]+\n", captured.err)
+
+    @pytest.mark.parametrize("t_end, warned", [
+        # |Omega_eff| t_end = 1e7 rad, above verify's bound; 1e6 rad, below
+        ("1e10", True),
+        ("1e9", False),
+    ])
+    def test_oracle_warns_above_verify_phase_limit(self, t_end, warned,
+                                                   capsys):
+        assert main(["timeseries", "--oracle", "--kappa", "0", "--t-end",
+                     t_end, "--steps", "3"]) == 0
+        captured = capsys.readouterr()
+        assert "warning" not in captured.out
+        if warned:
+            assert re.fullmatch(r"warning: [^\n]*\b1e\+07 rad[^\n]*"
+                                r"\b3e\+06\b[^\n]*\n", captured.err)
+        else:
+            assert captured.err == ""
 
 
 class TestConfigPrecedence:
@@ -395,11 +411,11 @@ def test_verify_gives_verdicts_or_exit_code(values):
         assert (code == 1) == any(ln.startswith("FAIL ") for ln in lines)
 
 
-def valid_verify_inputs(seed, count):
+def valid_verify_inputs(seed, count, alpha_max=4.0):
     """`count` seeded `verify` flag lists from its declared valid range.
 
     omega = 2 and omega0 = 1.9; complex alpha uniform over the disc
-    |alpha| <= 4; kappa = 0 with probability 0.15, else log-uniform on
+    |alpha| <= alpha_max; kappa = 0 with probability 0.15, else log-uniform on
     [1e-4, 1]; g log-uniform on [1e-3, 5e-2]; lambda and omega_c each
     uniform on [0, 1]; (c0, c1) from a normalised Gaussian 4-vector; t_end
     uniform on [1, 500].  Draws that are degenerate, or whose
@@ -410,7 +426,7 @@ def valid_verify_inputs(seed, count):
     inputs = []
     while len(inputs) < count:
         r, phase = rng.uniform(size=2)
-        alpha = 4.0 * np.sqrt(r) * np.exp(2j * np.pi * phase)
+        alpha = alpha_max * np.sqrt(r) * np.exp(2j * np.pi * phase)
         c = rng.normal(size=4)
         c /= np.linalg.norm(c)
         kappa = 0.0 if rng.uniform() < 0.15 else 10 ** rng.uniform(-4, 0)

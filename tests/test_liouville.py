@@ -9,7 +9,6 @@ from scipy.linalg import expm
 from drivenjc import analytic as an
 from drivenjc import liouville as lv
 from drivenjc.entanglement import wootters_concurrence
-from drivenjc.integrator import StepSizeUnderflow, rk45
 from drivenjc.model import NMAX_LIMIT, ModelParams, derive_params
 
 from _reference import (linear_entropy_general, make_rhs, project_two_qubit,
@@ -302,13 +301,6 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=f"level {NMAX_LIMIT + 1} > NMAX_LIMIT"):
             states_at(0.0, rho0, 0.1, 1.0, 0.0, 1)
 
-    def test_step_size_underflow(self):
-        def bad_rhs(t, y):
-            return np.full_like(y, np.nan)
-
-        with pytest.raises(StepSizeUnderflow):
-            rk45(bad_rhs, np.ones(3, dtype=complex), 0.0, 1.0, 1e-8)
-
 
 def assert_matches_scipy(A):
     want = expm(A)
@@ -556,19 +548,17 @@ class TestVerifyDisentangling:
         _, dyad = lv.verify_disentangling(-1e-3, 1e-3, t, 18.0)
         assert dyad < 1e-10
 
-    def test_never_calls_rk45(self, monkeypatch):
+    def test_route_c_is_one_integrate_step(self, monkeypatch):
         # route (c) is one exact step of integrate per test state
-        rk45_calls, steps = [], []
+        steps = []
         integrate = lv.integrate
 
         def counted(Omega, kappa, rho0, t_start, dt, count):
             steps.append((rho0.shape, t_start, count))
             return integrate(Omega, kappa, rho0, t_start, dt, count)
 
-        monkeypatch.setattr(lv, "rk45", lambda *args: rk45_calls.append(args))
         monkeypatch.setattr(lv, "integrate", counted)
         lv.verify_disentangling(1e-3, 1e-3, 100.0, 1.0)
-        assert rk45_calls == []
         assert steps == [((2, 2, 7, 7), 100.0, 1)] * lv.VERIFY_MATRICES
 
     def test_overflow_raises(self):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -104,6 +105,19 @@ class TestDispersiveRatio:
         d = derive_params(params())
         with pytest.raises(ValueError):
             dispersive_ratio(d, -1)
+
+    def test_degenerate_cells_are_nan(self):
+        # delta2 = omega_prime - omega is exactly 0 at lambda = 0; that cell
+        # is NaN, as in Omega_eff, and the others match the scalar ratio
+        def point(lam):
+            return params(omega=1.9, omega0=1.9, omega_c=0.0, lam=lam)
+
+        lams = [0.0, 0.1, 0.2]
+        d = derive_params(point(np.array(lams)))
+        ratio = dispersive_ratio(d, 1)
+        assert np.isnan(ratio[0]) and np.isnan(d.Omega_eff[0])
+        for lam, r in zip(lams[1:], ratio[1:]):
+            assert r == dispersive_ratio(derive_params(point(lam)), 1)
 
 
 class TestDefaultNmax:
