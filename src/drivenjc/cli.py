@@ -369,11 +369,6 @@ def cmd_fig(args) -> int:
 
 #: times of verify's first stage, the disentangling check
 DISENTANGLING_TIMES = (10.0, 100.0, 500.0)
-#: largest |alpha| whose coherent dyad the disentangling check holds to half
-#: its 1e-10 gate with nmax capped at NMAX_LIMIT: over kappa in {0, 1e-3,
-#: 0.5}, t in DISENTANGLING_TIMES and arg alpha in {0, pi/4, pi/2} the worst
-#: dyad error is 4.6e-11 at |alpha| = 18.25 and 5.1e-11 at 18.26
-VERIFY_ALPHA_LIMIT = 18.25
 #: largest phase |Omega_eff| min(t, 1/kappa) over verify's times that its
 #: routes resolve in float64: a decade below 3.2e7 rad, where the concurrence
 #: first misses its 1e-8 gate (kappa = 0, |alpha| = 18; 4.2e7 to 1e8 rad at
@@ -396,13 +391,12 @@ def cmd_verify(args) -> int:
     p = model_params(cfg)
     d = model.derive_params(p)
     _require_finite(d.Omega_eff)
-    # bad oracle input exits 2 before any verdict is printed
+    # bad oracle input exits 2 before any verdict is printed; stage 1's dyad
+    # refuses an alpha whose default_nmax exceeds NMAX_LIMIT before its first
+    # verdict
     grid = *_time_range(cfg), 16
     nmax = _nmax(cfg)
     liouville.coherent_vector(p.alpha, nmax)
-    if abs(p.alpha) > VERIFY_ALPHA_LIMIT:
-        raise ValueError(f"verify takes |alpha| <= {VERIFY_ALPHA_LIMIT:g}, "
-                         f"got {abs(p.alpha):.6g}")
     phase = _phase(p, d, max(grid[1], *DISENTANGLING_TIMES))
     if not phase <= VERIFY_PHASE_LIMIT:
         raise ValueError(f"verify resolves a phase |Omega_eff| min(t, 1/kappa) "

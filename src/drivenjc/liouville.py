@@ -353,11 +353,12 @@ def verify_disentangling(Omega: float, kappa: float, t: float,
     generator, (b) the factorized product on the factors (X, I) and (c) one
     exact step of `integrate`, the oracle's propagator.  Also applies (b) to
     the coherent dyad |alpha><alpha|/2, given as the factors
-    |alpha>/sqrt(2) twice.  Returns (pairwise, dyad): the largest deviation
-    between two routes, relative to the largest entry, and the largest
-    entrywise error of the dyad against its closed-form image, each over
-    all four blocks, for the caller to judge.  A non-finite route raises
-    FloatingPointError.
+    |alpha>/sqrt(2) twice, at nmax default_nmax(alpha).  Returns (pairwise,
+    dyad): the largest deviation between two routes, relative to the
+    largest entry, and the largest error of the dyad's projection onto the
+    closed-form branches |alpha_pm(t)> against that of its closed-form
+    image, each over all four blocks, for the caller to judge.  A non-finite
+    route raises FloatingPointError.
     """
     A, B = np.array([[0, 1, 0, 1], [0, 1, 1, 0]])   # blocks L00 L11 L01 L10
     spec = generator(Omega, kappa, A[:, None, None], B[:, None, None])
@@ -380,19 +381,17 @@ def verify_disentangling(Omega: float, kappa: float, t: float,
     scale = np.maximum(np.max(np.abs(routes), axis=(0, 3, 4)), 1e-300)
     pairwise = np.max(gap / scale)
 
-    # Closed-form coherent-dyad targets.  The continuum closed form is only
-    # reproducible when the coherent state fits in the truncated space, so
-    # this stage enlarges nmax beyond VERIFY_NMAX.  The dyads are compared
-    # entry by entry, and amplitudes outlast probabilities in the Fock
-    # tail, so nmax is sized for 2|alpha| up to NMAX_LIMIT, never below
-    # default_nmax(alpha).
-    nmax = max(default_nmax(alpha),
-               min(NMAX_LIMIT, default_nmax(2.0 * abs(alpha))))
+    # The coherent dyad at the oracle's own truncation, read in the frame of
+    # the closed-form branches v = |alpha_pm>: the image of block ab is
+    # 1/2 w_ab |v_a><v_b|, so its projection <v_f| . |v_g> is
+    # 1/2 w_ab G_fa G_bg with G = <v_f|v_g>, w = 1, f, conj(f), 1.
+    nmax = default_nmax(alpha)
     a_plus, a_minus, f = analytic.branches(alpha, kappa, Omega, t)
-    branch = coherent_vector(np.array([a_plus, a_minus]), nmax)
-    weight = np.array([[1.0, f], [np.conj(f), 1.0]])
-    target = 0.5 * np.einsum("k,kn,km->knm", weight[A, B], branch[A],
-                             branch[B].conj())
+    V = coherent_vector(np.array([a_plus, a_minus]), nmax)
+    G = V.conj() @ V.T
+    weight = np.array([[1.0, f], [np.conj(f), 1.0]])[A, B]
     half = coherent_vector(alpha, nmax)[:, None] / math.sqrt(2.0)
-    err = np.max(np.abs(apply_factorized(spec, half, half, t) - target))
+    frame = V.conj() @ apply_factorized(spec, half, half, t) @ V.T
+    target = 0.5 * np.einsum("k,fk,kg->kfg", weight, G[:, A], G[B])
+    err = np.max(np.abs(frame - target))
     return float(pairwise), float(err)

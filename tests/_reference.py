@@ -39,9 +39,20 @@ def make_rhs(spec: liouville.SuperopSpec, N: int):
 
 
 def project_two_qubit(rho, alpha_plus, alpha_minus, nmax) -> np.ndarray:
-    """Field blocks rho[a, b] projected onto the oracle's two-branch basis,
-    in the index convention of `two_qubit_density`."""
-    basis = liouville._branch_basis(alpha_plus, alpha_minus, nmax)
+    """Field blocks rho[a, b] of one sample projected onto the two-branch
+    basis, in the index convention of `two_qubit_density`.
+
+    The basis is |alpha_plus>, normalised, and the Gram-Schmidt complement
+    of |alpha_minus>, dropped (zero) where its squared norm is below
+    TAU_DEGENERACY, as in `two_qubit_density`.
+    """
+    up = liouville.coherent_vector(alpha_plus, nmax)
+    up = up / np.linalg.norm(up)
+    vm = liouville.coherent_vector(alpha_minus, nmax)
+    resid = vm - np.vdot(up, vm) * up
+    rnorm = np.linalg.norm(resid)
+    down = resid / rnorm if rnorm**2 >= TAU_DEGENERACY else 0.0 * resid
+    basis = np.array([up, down])
     return np.einsum("fn,abnm,gm->fagb", basis.conj(), rho, basis).reshape(4, 4)
 
 

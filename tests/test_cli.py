@@ -225,9 +225,9 @@ class TestInputContract:
         (["verify", "--alpha-re", "1e200"], 2),
         (["params", "--alpha-re", "1e200"], 2),
         (["timeseries", "--oracle", "--alpha-re", "1e200", "--steps", "3"], 2),
-        # above VERIFY_ALPHA_LIMIT: the dyad check's nmax 500 cannot hold
-        # |alpha> (dyad_err 2.9e-10 at t = 10)
-        (["verify", "--alpha-re", "18.45"], 2),
+        # an explicit --nmax 500 holds |alpha| = 18.6, but stage 1's dyad
+        # runs at default_nmax(alpha) = 505 > NMAX_LIMIT
+        (["verify", "--alpha-re", "18.6", "--nmax", "500"], 2),
         # phases above VERIFY_PHASE_LIMIT: 1e11 rad, and 5e303 rad at g = 1e150
         (["verify", "--kappa", "0", "--t-end", "1e14"], 2),
         (["verify", "--g", "1e150"], 2),
@@ -236,7 +236,9 @@ class TestInputContract:
                                       monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == code
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: .+\n", captured.err)
         assert not any(tmp_path.iterdir())
 
     def test_oracle_long_step_decays(self, tmp_path):
@@ -716,7 +718,6 @@ class TestVerify:
         assert out.count("PASS") == 7 and "FAIL" not in out
 
     @pytest.mark.parametrize("argv, bound", [
-        (["--alpha-re", "18.45"], cli.VERIFY_ALPHA_LIMIT),
         (["--kappa", "0", "--t-end", "1e14"], cli.VERIFY_PHASE_LIMIT),
         (["--g", "1e150"], cli.VERIFY_PHASE_LIMIT),
     ])
@@ -728,11 +729,15 @@ class TestVerify:
                             captured.err)
 
     @pytest.mark.parametrize("argv", [
-        ["--alpha-re", "18.25"],
+        # the largest |alpha| whose default_nmax is NMAX_LIMIT
+        ["--alpha-re", "18.49"],
         # a phase of 3e6 rad, the largest accepted at kappa = 0
         ["--kappa", "0", "--t-end", "3e9"],
         # decay caps the phase at |Omega_eff| / kappa = 1e6 rad
         ["--kappa", "1e-9", "--t-end", "1e14"],
+        # an entrywise dyad reading at nmax 500 misses the 1e-10 gate here
+        # (2.9e-10 at t = 10); the two-branch frame reads 4.8e-14
+        ["--alpha-re", "18.45"],
     ])
     def test_largest_accepted_inputs_pass(self, argv, capsys):
         assert main(["verify", *argv]) == 0
@@ -748,9 +753,9 @@ class TestVerify:
         assert float(entropy.group(1)) < 1e-15
 
     def test_large_amplitude_passes(self, capsys):
-        # the dyads are compared entry by entry, so the dyad stage's Fock
-        # truncation must hold amplitudes, not only probabilities, to 1e-10;
-        # at a complex alpha the closed-form concurrence must be 0 at t = 0;
+        # the dyad stage reads |alpha_pm> in its two-branch frame at
+        # default_nmax(alpha), which must hold it to 1e-10; at a complex
+        # alpha the closed-form concurrence must be 0 at t = 0;
         # at alpha = 0 the oracle steps a single Fock level, a (2, 1, 1) stack
         for argv in (["--alpha-re", "2"], ["--alpha-im", "2"],
                      ["--alpha-re", "0"]):

@@ -544,8 +544,9 @@ class TestVerifyDisentangling:
 
     @pytest.mark.parametrize("t", [10.0, 100.0, 500.0])
     def test_large_amplitude_dyad(self, t):
-        # |alpha| = 18: the dyad stage runs at nmax 500, the largest accepted
-        _, dyad = lv.verify_disentangling(-1e-3, 1e-3, t, 18.0)
+        # |alpha| = 18.49: the dyad stage runs at default_nmax(alpha) = 500,
+        # the largest accepted truncation
+        _, dyad = lv.verify_disentangling(-1e-3, 1e-3, t, 18.49)
         assert dyad < 1e-10
 
     def test_route_c_is_one_integrate_step(self, monkeypatch):
@@ -626,7 +627,7 @@ class TestOracleSeries:
         assert [x.shape for x in out] == [(0,)] * 4
 
     def test_concurrence_under_strong_decay(self):
-        # the rk45 oracle was 4.2e-7 off here, 42% of verify's old 1e-6 gate
+        # strong decay, kappa t up to 15: the concurrence holds verify's gate
         p = ModelParams(omega=2.0, omega0=1.9, omega_c=0.5, g=0.01, lam=0.5,
                         kappa=0.05, alpha=2.5)
         d = derive_params(p)
