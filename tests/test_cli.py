@@ -718,6 +718,8 @@ class TestVerify:
         assert out.count("PASS") == 7 and "FAIL" not in out
 
     @pytest.mark.parametrize("argv, bound", [
+        # decay caps the phase at |Omega_eff| / kappa = 1e7 rad, still above
+        (["--kappa", "1e-10", "--t-end", "1e14"], cli.VERIFY_PHASE_LIMIT),
         (["--kappa", "0", "--t-end", "1e14"], cli.VERIFY_PHASE_LIMIT),
         (["--g", "1e150"], cli.VERIFY_PHASE_LIMIT),
     ])
