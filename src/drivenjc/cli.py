@@ -185,31 +185,156 @@ def _require_finite(values, degenerate=False):
     return values
 
 
+#: a CSV cell's text as six little-endian words: sign and "0.000" prefix;
+#: digits 0-15 each followed by a gap byte that may hold the point; digit 16,
+#: its gap, "e+XXX" and the separator.  Zero bytes are dropped on output.
+_WORD = np.dtype("<u8")
+#: Dekker's splitter 2^27 + 1: x = head + tail exactly, each of 26 bits
+_SPLITTER = 134217729.0
+#: values per formatting block of `_write_csv`, which bounds its buffers
+_CSV_BLOCK = 4096
+#: largest |E| of the tables of `_cells`: a decade beyond |v| <= 1e280
+_CELL_E = 282
+
+
+@functools.cache
+def _cell_tables():
+    """Lookup tables of `_cells`, built exactly on first use."""
+    # 10^k = hi + lo as a pair of doubles, k = 16 - E for |E| <= _CELL_E,
+    # at index _CELL_E - E
+    hi, lo = [], []
+    for k in range(16 - _CELL_E, 17 + _CELL_E):
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        hi.append(num / den)
+        a, b = hi[-1].as_integer_ratio()
+        lo.append((num * b - a * den) / (den * b))
+    hi = np.array(hi)
+    scaled = hi * _SPLITTER
+    head = scaled - (scaled - hi)
+    # each 4-digit group as digit bytes with empty gaps, and its number of
+    # digits up to the last nonzero one (-99 if none), offset by position
+    group = np.arange(10000)
+    pairs = np.zeros((10000, 8), np.uint8)
+    pairs[:, ::2] = 48 + group[:, None] // [1000, 100, 10, 1] % 10
+    sig = np.where(group, 4 - sum(group % 10 ** j == 0 for j in (1, 2, 3)),
+                   -99)
+    # words 1-5 of a cell that keeps its first k digits, k = 0..17
+    keep = np.full((18, 40), 255, np.uint8)
+    for k in range(18):
+        keep[k, 2 * k:34:2] = 0
+    # word 0: the sign, and "0." and zeros for -4 <= E < 0, at index
+    # 5 sign - E; word 5: "e+XX" after digit 16 and its gap, at index
+    # E + _CELL_E + 1, and no exponent at index 0
+    prefix = [b"-" * s + (b"0." + b"0" * (z - 1)) * (z > 0)
+              for s in (0, 1) for z in range(5)]
+    exponent = [b""] + [b"\0\0e" + s[:1] + s[1:].rjust(3, b"\0")
+                        for s in (b"%+03d" % e
+                                  for e in range(-_CELL_E, _CELL_E + 1))]
+    words = [np.frombuffer(b"".join(s.ljust(8, b"\0") for s in strings),
+                           _WORD) for strings in (prefix, exponent)]
+    tables = (hi, head, hi - head, np.array(lo), pairs.view(_WORD)[:, 0],
+              sig + 4 * np.arange(4)[:, None], keep.view(_WORD).T.copy(),
+              *words)
+    for table in tables:   # shared by every call
+        table.setflags(write=False)
+    return tables
+
+
+def _cells(x):
+    """`'%.17g' % v` of each value of 1-D float64 `x`, as (6, len(x)) words
+    of `_WORD` layout, the separator byte left empty.
+
+    For 0 and 1e-280 <= |v| <= 1e280, E = floor(log10 |v|) and
+    D = rint(|v| 10^(16 - E)): Dekker's TwoProduct of |v| with the leading
+    double of a double-double 10^(16 - E) is exact, and |v| times its trailing
+    double is added, so the fraction of |v| 10^(16 - E) is known to about
+    2^-47.  The `%g` text follows from D and E.  The cells this cannot
+    decide go through `%`: a fraction within 1e-9 of 1/2, a D outside
+    [10^16, 10^17) (log10 put E in the wrong decade, or D carried to 10^17),
+    nan, inf and |v| outside that range.
+    """
+    hi, head, tail, lo, pairs, sig, keep_mask, prefix, exponent = \
+        _cell_tables()
+    n = len(x)
+    ax = np.abs(x)
+    zero = ax == 0
+    ok = (ax >= 1e-280) & (ax <= 1e280)
+    a = np.where(ok, ax, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    k = _CELL_E - e
+    p = a * hi[k]
+    a_head = a * _SPLITTER
+    a_head -= a_head - a
+    a_tail = a - a_head
+    h_head, h_tail = head[k], tail[k]
+    r = (((a_head * h_head - p) + a_head * h_tail + a_tail * h_head)
+         + a_tail * h_tail + a * lo[k])
+    floor = np.floor(r)
+    frac = r - floor
+    whole = p.astype(np.int64) + floor.astype(np.int64)
+    d = whole + (frac > 0.5)
+    slow = ~zero & (~ok | (np.abs(frac - 0.5) < 1e-9) | (whole < 10 ** 16)
+                    | (d >= 10 ** 17))
+    d[zero | slow] = 0
+    e[zero] = 0
+    # D as four 4-digit groups and a last digit
+    rest = d // 10
+    last = d - 10 * rest
+    top = rest // 10 ** 8
+    low = rest - 10 ** 8 * top
+    top_hi, low_hi = top // 10000, low // 10000
+    groups = [top_hi, top - 10000 * top_hi, low_hi, low - 10000 * low_hi]
+    fixed = (e >= -4) & (e < 17)
+    # m digits stand before the point; trailing zeros after it are dropped
+    m = np.where(fixed, np.maximum(e + 1, 0), 1)
+    keep = np.maximum.reduce([s.take(g) for s, g in zip(sig, groups)]
+                             + [17 * (last > 0), m])
+    words = np.empty((6, n), _WORD)
+    words[0] = prefix.take(5 * np.signbit(x) + np.where(fixed & (e < 0), -e, 0))
+    for j, g in enumerate(groups):
+        words[1 + j] = pairs.take(g) & keep_mask[j].take(keep)
+    words[5] = (((48 + last.astype(np.uint64)) & keep_mask[4].take(keep))
+                | exponent.take(np.where(fixed, 0, e + _CELL_E + 1)))
+    point = np.flatnonzero((keep > m) & (m > 0))
+    at = 2 * m[point] + 7
+    words.view(np.uint8)[at // 8, 8 * point + at % 8] = ord(".")
+    if slow.any():
+        text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype="S48")
+        words[:, slow] = np.frombuffer(text.tobytes(), _WORD).reshape(-1, 6).T
+    return words
+
+
 def _write_csv(output, meta: list[str], header: list[str], rows,
                axes=()) -> None:
     """Write metadata, header and `rows` (2-D) with every cell as `%.17g`.
 
     With `axes` (1-D point arrays, the first outermost), the table is their
     product grid: each row is one grid point's coordinates followed by its
-    row of `rows`.  Each axis point is formatted once into the template as
-    literal text: the innermost axis by one `%` pass that keeps the value
-    placeholders (escaped as `%%`), each outer point by one `replace` that
-    prefixes a copy of the inner block.  One `%` then fills only the cells
-    of `rows`.  The bytes equal per-cell `format(v, ".17g")` of the expanded
-    table, which shares the conversion.
+    row of `rows`.  Each axis point is formatted once, and each row picks
+    its coordinates by grid index.  The cells are formatted by `_cells` in
+    blocks of about `_CSV_BLOCK` values.
     """
-    line = ",".join(["%.17g"] * rows.shape[1])
-    if axes:
-        *outer, inner = axes
-        block = (("\n%.17g," + line.replace("%", "%%")) * len(inner)
-                 % tuple(inner.tolist()))
-        for points in reversed(outer):
-            block = "".join([block.replace("\n", "\n%.17g," % x)
-                             for x in points.tolist()])
-    else:
-        block = ("\n" + line) * rows.shape[0]
-    text = "\n".join([*meta, ",".join(header)])
-    text += block % tuple(rows.ravel().tolist()) + "\n"
+    nrow, ncol = rows.shape
+    coords = [_cells(np.asarray(x, dtype=float)) for x in axes]
+    separators = np.full(len(axes) + ncol, ord(","), np.uint64)
+    separators[-1:] = ord("\n")
+    separators <<= np.uint64(56)
+    parts = ["\n".join([*meta, ",".join(header)]) + "\n"]
+    step = max(1, _CSV_BLOCK // max(ncol, 1))
+    for start in range(0, nrow, step):
+        values = np.asarray(rows[start:start + step], dtype=float)
+        cells = np.empty((6, len(values), len(separators)), _WORD)
+        cells[:, :, len(axes):] = _cells(values.ravel()).reshape(
+            6, len(values), ncol)
+        if axes:
+            index = np.unravel_index(np.arange(start, start + len(values)),
+                                     [len(x) for x in axes])
+            for j, (c, i) in enumerate(zip(coords, index)):
+                cells[:, :, j] = c[:, i]
+        cells[5] |= separators
+        parts.append(cells.transpose(1, 2, 0).tobytes()
+                     .translate(None, b"\0").decode())
+    text = "".join(parts)
     if output is None:
         sys.stdout.write(text)
     else:
@@ -392,8 +517,13 @@ def cmd_verify(args) -> int:
     d = model.derive_params(p)
     _require_finite(d.Omega_eff)
     # bad oracle input exits 2 before any verdict is printed; stage 1's dyad
-    # refuses an alpha whose default_nmax exceeds NMAX_LIMIT before its first
-    # verdict
+    # runs at default_nmax(alpha) whatever --nmax says
+    dyad_nmax = model.default_nmax(p.alpha)
+    if dyad_nmax > model.NMAX_LIMIT:
+        raise ValueError(f"|alpha| = {abs(p.alpha):.6g}: verify's dyad runs "
+                         f"at default_nmax(alpha) = "
+                         f"{model.short_int(dyad_nmax)} > NMAX_LIMIT = "
+                         f"{model.NMAX_LIMIT}")
     grid = *_time_range(cfg), 16
     nmax = _nmax(cfg)
     liouville.coherent_vector(p.alpha, nmax)

@@ -209,9 +209,11 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,
         if h > 0:
             prop = expm(B * h)
             # class 0 has the real coefficients c_r + c_l = -2 kappa and
-            # c_m = 2 kappa, so its propagator is real
+            # c_m = 2 kappa, so its propagator is real; the phase is stored
+            # contiguous, which multiplies at about twice the speed of the
+            # broadcast view
             props[h] = (prop[0].real.copy(), prop[1], np.broadcast_to(
-                np.exp(d0 * h), (2, L, L, 2)).reshape(2, L, 2 * L))
+                np.exp(d0 * h), (2, L, L, 2)).reshape(2, L, 2 * L).copy())
     n = np.where(_UPPER, jj, jj + kk)
     m = np.where(_UPPER, jj + kk, jj)
     valid = np.flatnonzero(np.broadcast_to(jj + kk < L, n.shape))

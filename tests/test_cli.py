@@ -182,6 +182,15 @@ class TestConfigPrecedence:
         assert main(["timeseries", "--config", str(cfgfile)]) == 2
 
 
+#: the error text some invalid inputs must print: the dyad's truncation, not
+#: the user's --nmax
+_ERROR_TEXT = {
+    ("verify", "--alpha-re", "18.6", "--nmax", "500"):
+        "error: |alpha| = 18.6: verify's dyad runs at default_nmax(alpha) = "
+        "505 > NMAX_LIMIT = 500\n",
+}
+
+
 class TestInputContract:
     @pytest.mark.parametrize("argv, code", [
         (["params", "--g", "nan"], 2),
@@ -217,8 +226,8 @@ class TestInputContract:
         (["params", "--nmax", "0"], 2),
         # fig1 evaluates at t = 1/g, as sweep2d does without --t-eval
         (["fig1", "--g", "0", "--grid", "3x2", "--output", "d"], 2),
-        # |alpha| = 18.5 implies nmax 501 > NMAX_LIMIT, refused by
-        # coherent_vector before any verdict or row
+        # |alpha| = 18.5 implies nmax 501 > NMAX_LIMIT, refused before any
+        # verdict or row
         (["verify", "--alpha-re", "18.5"], 2),
         (["timeseries", "--oracle", "--alpha-re", "18.5", "--steps", "3"], 2),
         # |alpha|^2 overflows the truncation bound of default_nmax
@@ -239,6 +248,7 @@ class TestInputContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(r"error: .+\n", captured.err)
+        assert _ERROR_TEXT.get(tuple(argv), "") in captured.err
         assert not any(tmp_path.iterdir())
 
     def test_oracle_long_step_decays(self, tmp_path):
@@ -626,6 +636,83 @@ class TestCsvBytes:
             assert out.read_bytes() == want.encode()
         else:
             assert capsys.readouterr().out == want
+
+
+def cell_mismatches(values):
+    """(value, `cli._cells` text, `'%.17g' % value`) of each value of 1-D
+    `values` whose two texts differ."""
+    values = np.asarray(values, dtype=float)
+    words = cli._cells(values)
+    words[5] |= np.uint64(ord("\n") << 56)
+    got = words.T.tobytes().translate(None, b"\0").decode().splitlines()
+    return [(v, a, "%.17g" % v) for v, a in zip(values.tolist(), got)
+            if a != "%.17g" % v]
+
+
+def dyadic_ties(seed, count):
+    """`count` seeded values +-m 2^-k, m odd and 2 <= k <= 25, whose exact
+    decimals m 5^k 10^-k have 18 significant digits: ties at 17 digits."""
+    rng = np.random.default_rng(seed)
+    k = rng.integers(2, 26, count)
+    five = 5 ** k
+    low = -(-10 ** 17 // five)
+    high = np.minimum(10 ** 18 // five, 2 ** 53 - 1)
+    m = rng.integers(low, high) | 1
+    return np.ldexp(m.astype(float), -k) * rng.choice([-1.0, 1.0], count)
+
+
+def _powers_of_ten():
+    """1e-320 to 1e308 and both neighbours of each."""
+    p = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    return np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+
+
+class TestCells:
+    """`cli._cells` against `'%.17g'`: its arithmetic gives the digits of
+    most cells, and `%` those it cannot decide."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_matches_percent_format(self, values):
+        assert cell_mismatches(values) == []
+
+    @pytest.mark.parametrize("values", [
+        dyadic_ties(0, 2000),
+        _powers_of_ten(),
+        np.concatenate([np.random.default_rng(1).integers(
+            10 ** 16, 10 ** 17, 2000).astype(float),
+            [1e16, 1e16 + 2, 1e17 - 16, 1e17, 1e17 + 16]]),
+        [s * np.nextafter(v, w) for s in (1.0, -1.0) for v in (1e-280, 1e280)
+         for w in (0.0, v, np.inf)],
+        [0.0, -0.0],
+    ], ids=["ties", "powers_of_ten", "integers", "range_ends", "zeros"])
+    def test_deterministic_values(self, values):
+        assert cell_mismatches(values) == []
+
+    def test_undecided_cells_match(self):
+        """Ties, and values whose log10 lies in the next decade, cannot be
+        decided by the arithmetic, so these cells go through `%`."""
+        from decimal import Decimal
+        ties = dyadic_ties(1, 50).tolist()
+        digits = [Decimal(v).as_tuple().digits for v in ties]
+        assert all(len(d) == 18 and d[-1] == 5 for d in digits)
+        # round half to even: an odd 17th digit rounds up, an even one down
+        assert {d[16] % 2 for d in digits} == {0, 1}
+        misses = [v for v in _powers_of_ten().tolist() if math.floor(
+            np.log10(v)) != Decimal(v).adjusted()]
+        assert misses
+        assert cell_mismatches(ties + misses) == []
+
+    @pytest.mark.parametrize("shift", [-1.0, 1.0])
+    def test_log10_in_the_wrong_decade(self, shift, monkeypatch):
+        """Every cell whose log10 misses its decade, either way, still
+        matches: its D falls outside [10^16, 10^17) and goes through `%`."""
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(300) * 10.0 ** rng.integers(-280, 280, 300)
+        values[:4] = [1e-280, -1e280, 1.0, 9.999999999999999e22]
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+        assert cell_mismatches(values) == []
 
 
 class TestParserReuse:
