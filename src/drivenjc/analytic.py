@@ -27,9 +27,13 @@ class AnalyticSnapshot:
     alpha_plus: complex     # field amplitude attached to dressed |0>
     alpha_minus: complex    # field amplitude attached to dressed |1>
     f: complex              # coherence (decoherence) factor
-    tau: complex            # overlap <alpha_plus | alpha_minus>
     c0: complex
     c1: complex
+
+    @property
+    def tau(self) -> complex:
+        """Overlap <alpha_plus | alpha_minus>, formed where it is read."""
+        return coherent_overlap(self.alpha_plus, self.alpha_minus)
 
 
 def _check_times(t) -> None:
@@ -66,10 +70,8 @@ def branches(alpha: complex, kappa: float, Omega: float, t: float):
 def evolve(p: ModelParams, d: DerivedParams, t: float) -> AnalyticSnapshot:
     """Closed-form state descriptors at times t >= 0."""
     a_plus, a_minus, f = branches(p.alpha, p.kappa, d.Omega_eff, t)
-    return AnalyticSnapshot(
-        alpha_plus=a_plus, alpha_minus=a_minus, f=f,
-        tau=coherent_overlap(a_plus, a_minus), c0=p.c0, c1=p.c1,
-    )
+    return AnalyticSnapshot(alpha_plus=a_plus, alpha_minus=a_minus, f=f,
+                            c0=p.c0, c1=p.c1)
 
 
 def concurrence_analytic(s: AnalyticSnapshot) -> float:

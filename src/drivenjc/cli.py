@@ -304,36 +304,56 @@ def _cells(x):
     return words
 
 
+def _slots(x):
+    """`'%.17g,' % v` of each value of 1-D `x`, zero-padded to one whole
+    number of words for all: a (len(x), words) array of `_WORD`."""
+    texts = [b"%.17g," % v for v in x.tolist()]
+    size = -(-max(map(len, texts), default=1) // 8) * 8
+    return np.array(texts, f"S{size}").view(_WORD).reshape(len(x), -1)
+
+
 def _write_csv(output, meta: list[str], header: list[str], rows,
                axes=()) -> None:
     """Write metadata, header and `rows` (2-D) with every cell as `%.17g`.
 
     With `axes` (1-D point arrays, the first outermost), the table is their
     product grid: each row is one grid point's coordinates followed by its
-    row of `rows`.  Each axis point is formatted once, and each row picks
-    its coordinates by grid index.  The cells are formatted by `_cells` in
-    blocks of about `_CSV_BLOCK` values.
+    row of `rows`.  One axis is written as the first column of `rows`.  Of
+    two or more, each axis point's text and separator is laid out once, in
+    a slot of whole words (`_slots`), and each row copies its coordinates'
+    slots by grid index.  The values are formatted by `_cells` in blocks of
+    about `_CSV_BLOCK`.
     """
+    if len(axes) == 1:
+        rows, axes = np.column_stack([axes[0], rows]), ()
     nrow, ncol = rows.shape
-    coords = [_cells(np.asarray(x, dtype=float)) for x in axes]
-    separators = np.full(len(axes) + ncol, ord(","), np.uint64)
+    if axes:
+        shape = [len(x) for x in axes]
+        slots = _slots(np.concatenate(axes, dtype=float))
+        width = slots.shape[1]
+        offsets = np.cumsum([0, *shape[:-1]])
+    separators = np.full(ncol, ord(","), np.uint64)
     separators[-1:] = ord("\n")
     separators <<= np.uint64(56)
     parts = ["\n".join([*meta, ",".join(header)]) + "\n"]
     step = max(1, _CSV_BLOCK // max(ncol, 1))
     for start in range(0, nrow, step):
         values = np.asarray(rows[start:start + step], dtype=float)
-        cells = np.empty((6, len(values), len(separators)), _WORD)
-        cells[:, :, len(axes):] = _cells(values.ravel()).reshape(
-            6, len(values), ncol)
-        if axes:
-            index = np.unravel_index(np.arange(start, start + len(values)),
-                                     [len(x) for x in axes])
-            for j, (c, i) in enumerate(zip(coords, index)):
-                cells[:, :, j] = c[:, i]
+        n = len(values)
+        cells = _cells(values.ravel()).reshape(6, n, ncol)
         cells[5] |= separators
-        parts.append(cells.transpose(1, 2, 0).tobytes()
-                     .translate(None, b"\0").decode())
+        if axes:
+            # each row as words: its coordinates' slots, then its value cells
+            line = np.empty((n, len(axes) * width + 6 * ncol), _WORD)
+            index = np.unravel_index(np.arange(start, start + n), shape)
+            for j, i in enumerate(index):
+                line[:, j * width:(j + 1) * width] = slots[offsets[j] + i]
+            line[:, len(axes) * width:].reshape(n, ncol, 6)[...] = \
+                cells.transpose(1, 2, 0)
+            text = line.tobytes()
+        else:
+            text = cells.transpose(1, 2, 0).tobytes()
+        parts.append(text.translate(None, b"\0").decode())
     text = "".join(parts)
     if output is None:
         sys.stdout.write(text)
@@ -342,16 +362,26 @@ def _write_csv(output, meta: list[str], header: list[str], rows,
             fh.write(text)
 
 
-def _observables(p: model.ModelParams, d: model.DerivedParams, t) -> dict:
-    """The closed-form CSV columns, broadcast over the parameters and t."""
-    s = analytic.evolve(p, d, t)
-    return {
-        "concurrence": analytic.concurrence_analytic(s),
-        "linear_entropy": analytic.linear_entropy_analytic(s),
-        "photon_number": analytic.photon_number(p, t),
-        "abs_f": np.abs(s.f),
-        "abs_tau": np.abs(s.tau),
-    }
+#: the closed-form CSV columns: name -> value from the parameters p, the
+#: snapshot s and the times t.  Each looks its `analytic` function up when it
+#: is called, so that a patched function is the one evaluated.
+_COLUMNS = {
+    "concurrence": lambda p, s, t: analytic.concurrence_analytic(s),
+    "linear_entropy": lambda p, s, t: analytic.linear_entropy_analytic(s),
+    "photon_number": lambda p, s, t: analytic.photon_number(p, t),
+    "abs_f": lambda p, s, t: np.abs(s.f),
+    "abs_tau": lambda p, s, t: np.abs(s.tau),
+}
+
+
+def _observables(p: model.ModelParams, d: model.DerivedParams, t,
+                 names=tuple(_COLUMNS)) -> dict:
+    """The closed-form CSV columns `names`, broadcast over the parameters
+    and t; each is evaluated only if it is named, the snapshot only if a
+    named column reads it."""
+    s = (analytic.evolve(p, d, t) if set(names) != {"photon_number"}
+         else None)
+    return {name: _COLUMNS[name](p, s, t) for name in names}
 
 
 def _grid(cfg: dict, axes, counts, observable: str, columns: dict, t_eval):
@@ -374,7 +404,8 @@ def _grid(cfg: dict, axes, counts, observable: str, columns: dict, t_eval):
     p = model_params(cfg, **grid)
     d = model.derive_params(p)
     shape = [*counts, len(cols)]
-    value = np.broadcast_to(_observables(p, d, t)[observable], shape)
+    value = np.broadcast_to(_observables(p, d, t, [observable])[observable],
+                            shape)
     degenerate = np.broadcast_to(d.degenerate, shape)
     _require_finite(value, degenerate)
     # the photon number does not depend on delta2: finite, and not counted
@@ -548,7 +579,8 @@ def cmd_verify(args) -> int:
     except entanglement.InvalidDensityMatrix as exc:
         print(f"FAIL oracle integration: {exc}")
         return EXIT_VERIFY_FAIL
-    closed = _observables(p, d, np.linspace(*grid))
+    closed = _observables(p, d, np.linspace(*grid),
+                          ["concurrence", "linear_entropy", "photon_number"])
     # the oracle's photon number is off by |alpha|^2 times its trace error,
     # the rounding of the coherent state, so its tolerance is per photon
     photons = max(1.0, abs(p.alpha) ** 2)

@@ -9,6 +9,7 @@ interaction collapses to a state-dependent cavity frequency shift Omega.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -46,13 +47,15 @@ class ModelParams:
     c1: complex = _INV_SQRT2
 
     def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # one pass over the fields; cmath tests a number without a ufunc call
+        for name, value in vars(self).items():
+            if not (cmath.isfinite(value) if isinstance(value, (int, float, complex))
+                    else np.isfinite(value).all()):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name, what in (("g", "coupling"), ("kappa", "decay rate"),
                            ("lam", "drive coupling")):
             value = getattr(self, name)
-            if np.any(value < 0):
+            if np.less(value, 0).any():
                 raise ValueError(f"{what} {name} must be >= 0, got {np.min(value)}")
         norm = np.abs(self.c0) ** 2 + np.abs(self.c1) ** 2
         if np.any(np.abs(norm - 1.0) > 1e-12):

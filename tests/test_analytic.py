@@ -144,7 +144,7 @@ class TestObservables:
 
     def test_entropy_at_vanishing_coherence(self):
         s = an.AnalyticSnapshot(alpha_plus=0.1, alpha_minus=0.1, f=0.0,
-                                tau=0.9, c0=SQ2, c1=SQ2)
+                                c0=SQ2, c1=SQ2)
         assert an.linear_entropy_analytic(s) == pytest.approx(0.5, abs=1e-14)
 
     def test_photon_number(self):

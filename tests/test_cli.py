@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drivenjc import cli, liouville, model
+from drivenjc import analytic, cli, liouville, model
 from drivenjc.cli import OPTIONS, main
 from drivenjc.entanglement import InvalidDensityMatrix
 
@@ -591,6 +591,75 @@ class TestFigures:
         assert list(tmp_path.iterdir()) == []
 
 
+def _five_columns(p, d, t):
+    """Every closed-form column from one snapshot, spelled out apart from
+    `cli._COLUMNS`: the reference each written column must equal."""
+    s = analytic.evolve(p, d, t)
+    return {
+        "concurrence": analytic.concurrence_analytic(s),
+        "linear_entropy": analytic.linear_entropy_analytic(s),
+        "photon_number": analytic.photon_number(p, t),
+        "abs_f": np.abs(s.f),
+        "abs_tau": np.abs(analytic.coherent_overlap(s.alpha_plus,
+                                                    s.alpha_minus)),
+    }
+
+
+def _same_bits(a, b):
+    a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+#: omega = 1.9 makes lambda = 0 degenerate (NaN cells), and kappa runs from 0
+_COLUMN_CFG = {key: opt[2] for key, opt in cli._SPEC.items()} | {"omega": 1.9}
+
+
+class TestWrittenColumns:
+    """Each table evaluates only the columns it writes; each must equal the
+    same column of a full five-column evaluation, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(cli._COLUMNS))
+    def test_one_column_of_the_full_evaluation(self, name):
+        p = cli.model_params(_COLUMN_CFG,
+                             lam=np.linspace(0.0, 0.5, 6)[:, None, None],
+                             kappa=np.array([0.0, 1e-3, 5e-3])[None, :, None],
+                             alpha_im=np.array([0.0, 0.7]))
+        d = model.derive_params(p)
+        assert np.any(d.degenerate)
+        t = np.array([0.0, 50.0, 1e3])[:, None, None, None]
+        got = cli._observables(p, d, t, [name])
+        assert list(got) == [name]
+        assert _same_bits(got[name], _five_columns(p, d, t)[name])
+
+    @pytest.mark.parametrize("observable", [
+        "concurrence", "linear_entropy", "photon_number"])
+    @pytest.mark.parametrize("axes, counts, columns, t_eval", [
+        ([("lambda", 0.0, 0.5), ("kappa", 0.0, 5e-3)], (6, 3),
+         {"_re": dict(alpha_im=0.0), "_im": dict(alpha_im=0.7)}, 100.0),
+        ([("t", 0.0, 300.0)], (7,),
+         {"_k0": dict(kappa=0.0, lam=0.0), "_k1": dict(kappa=1e-3, lam=0.3)},
+         None)], ids=["lambda-kappa", "t"])
+    def test_grid_writes_the_full_evaluation(self, observable, axes, counts,
+                                             columns, t_eval, monkeypatch,
+                                             capsys):
+        seen = []
+        observables = cli._observables
+
+        def spy(p, d, t, names):
+            seen.append(_five_columns(p, d, t)[observable])
+            return observables(p, d, t, names)
+
+        monkeypatch.setattr(cli, "_observables", spy)
+        header, _, values = cli._grid(_COLUMN_CFG, axes, counts, observable,
+                                      columns, t_eval)
+        assert header[-2:] == [observable + s for s in columns]
+        want = np.broadcast_to(seen[0], [*counts, 2]).reshape(-1, 2)
+        assert _same_bits(values, want)
+        # lambda = 0 is degenerate, except for the photon number
+        assert np.isnan(values).any() == (observable != "photon_number")
+        capsys.readouterr()
+
+
 def _per_value_csv(meta, header, rows):
     """The per-value writer `_write_csv` replaced: the reference for its bytes."""
     return "\n".join([*meta, ",".join(header), *(
@@ -636,6 +705,30 @@ class TestCsvBytes:
             assert out.read_bytes() == want.encode()
         else:
             assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize("counts", [(), (3,)], ids=["t", "t-x"])
+    @pytest.mark.parametrize("ncol", [1, 4])
+    def test_axis_texts_of_every_length(self, ncol, counts, to_file, tmp_path,
+                                        capsys):
+        """The single-axis grid of `fig2`-`fig4` (`axes=[t]`), and a
+        two-axis grid with the same first axis, whose point texts run from
+        1 to 24 characters."""
+        t = np.array([0.0, 1.0, 5e-324, -1.2345678901234567e-300, 0.5, -0.0,
+                      1e16, 2.5e-5, 300.0, np.nextafter(300.0, 0.0)])
+        axes = [t, *(np.array([7.0, -1e-300, 0.1])[:n] for n in counts)]
+        assert sorted({len("%.17g" % v) for v in t}) == [
+            1, 2, 3, 17, 18, 22, 23, 24]
+        rows = np.random.default_rng(ncol).standard_normal(
+            (math.prod(map(len, axes)), ncol))
+        table = np.column_stack([
+            *(x.ravel() for x in np.meshgrid(*axes, indexing="ij")), rows])
+        header = [f"c{j}" for j in range(table.shape[1])]
+        want = _per_value_csv(["# a = 1"], header, table)
+        out = tmp_path / "out.csv" if to_file else None
+        cli._write_csv(out, ["# a = 1"], header, rows, axes)
+        got = out.read_text() if to_file else capsys.readouterr().out
+        assert got == want
 
 
 def cell_mismatches(values):
