@@ -55,15 +55,22 @@ def branches(alpha: complex, kappa: float, Omega: float, t: float):
     the summed exponent (at large |alpha| its parts underflow and overflow
     apart while |f| <= 1).  For kappa = 0 the damping term is exactly 0
     (the kappa/(kappa + i Omega) prefactor vanishes): f is a pure phase.
+
+    Each exponential takes only the axes of its own inputs: exp(-kappa t)
+    those of (kappa, t) and exp(-i Omega t) those of (Omega, t).  Their
+    product is exp(-(kappa + i Omega) t), and alpha_pm and
+    exp(-2 (kappa + i Omega) t) follow from it, so f's is the one
+    exponential over the whole broadcast shape.
     """
     _check_times(t)
-    a_plus = alpha * np.exp(-(kappa + 1j * Omega) * t)
-    a_minus = alpha * np.exp(-(kappa - 1j * Omega) * t)
+    decay = np.exp(-kappa * t)
+    rotation = decay * np.exp(-1j * Omega * t)
     n0 = np.abs(alpha) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         damping = np.where(kappa == 0.0, 0.0, kappa * n0 / (kappa + 1j * Omega)
-                           * (1.0 - np.exp(-2.0 * (kappa + 1j * Omega) * t)))
-    f = np.exp(-1j * Omega * t + n0 * (np.exp(-2.0 * kappa * t) - 1.0) + damping)
+                           * (1.0 - rotation ** 2))
+    f = np.exp(-1j * Omega * t + n0 * (decay ** 2 - 1.0) + damping)
+    a_plus, a_minus = alpha * rotation, alpha * np.conj(rotation)
     return a_plus, a_minus, f
 
 

@@ -64,3 +64,16 @@ def linear_entropy_general(rho: np.ndarray):
     purity = np.trace(rho @ rho, axis1=-2, axis2=-1).real
     s = np.maximum(1.0 - purity, 0.0)
     return float(s) if s.ndim == 0 else s
+
+
+def branches_one_exponential(alpha, kappa, Omega, t):
+    """(alpha_plus, alpha_minus, f) with each exponential over the whole
+    broadcast shape: the form `analytic.branches` factors."""
+    a_plus = alpha * np.exp(-(kappa + 1j * Omega) * t)
+    a_minus = alpha * np.exp(-(kappa - 1j * Omega) * t)
+    n0 = np.abs(alpha) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        damping = np.where(kappa == 0.0, 0.0, kappa * n0 / (kappa + 1j * Omega)
+                           * (1.0 - np.exp(-2.0 * (kappa + 1j * Omega) * t)))
+    f = np.exp(-1j * Omega * t + n0 * (np.exp(-2.0 * kappa * t) - 1.0) + damping)
+    return a_plus, a_minus, f

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drivenjc import analytic as an
+from drivenjc import cli
 from drivenjc import entanglement as ent
 from drivenjc import liouville as lv
 from drivenjc.model import ModelParams, derive_params
 
-from _reference import two_qubit_density
+from _reference import branches_one_exponential, two_qubit_density
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -84,6 +85,42 @@ class TestEvolve:
         p = params()
         with pytest.raises(ValueError):
             an.evolve(p, derive_params(p), -1.0)
+
+
+class TestBranches:
+    """`branches` takes exp(-kappa t) and exp(-i Omega t) on their own axes
+    and forms alpha_pm and exp(-2 (kappa + i Omega) t) as products; this
+    re-association moves last digits only.  Measured on these grids (20
+    seeds, |alpha| <= 18.49, |Omega| t <= VERIFY_PHASE_LIMIT): |d alpha_pm|
+    <= 3.9e-16 |alpha| and |d f| <= 9.6e-16 max(1, |alpha|^2).  The bounds
+    below are about twice those."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_one_exponential_form(self, seed):
+        rng = np.random.default_rng(seed)
+        radius = np.concatenate([[0.0, 18.49], rng.uniform(0.0, 18.49, 6)])
+        alpha = radius * np.exp(2j * np.pi * rng.random(8))
+        kappa = np.concatenate([[0.0], 10.0 ** rng.uniform(-6.0, 1.0, 7)])
+        # Omega of both signs
+        Omega = rng.choice([-1.0, 1.0], 10) * 10.0 ** rng.uniform(-5, 2, 10)
+        t = np.concatenate([[0.0], 10.0 ** rng.uniform(-3.0, 3.0, 9)])
+        # |Omega| t up to the largest phase verify resolves, and at it
+        t = np.minimum(t, cli.VERIFY_PHASE_LIMIT / np.abs(Omega[:, None]))
+        t[:, -1] = cli.VERIFY_PHASE_LIMIT / np.abs(Omega)
+        args = (alpha[:, None, None, None], kappa[:, None, None],
+                Omega[:, None], t)
+        got = an.branches(*args)
+        want = branches_one_exponential(*args)
+        n0 = np.abs(args[0]) ** 2
+        for new, old in zip(got[:2], want[:2]):
+            assert np.all(np.abs(new - old) <= 8e-16 * np.sqrt(n0))
+        assert np.all(np.abs(got[2] - want[2]) <= 2e-15 * np.maximum(1.0, n0))
+        # kappa = 0: the damping term is exactly 0, f the pure phase
+        # exp(-i Omega t), and alpha_pm those of the one-exponential form
+        assert np.array_equal(got[2][:, 0], np.broadcast_to(
+            np.exp(-1j * Omega[:, None] * t), got[2][:, 0].shape))
+        for new, old in zip(got, want):
+            assert np.array_equal(new[:, 0], old[:, 0])
 
 
 class TestTwoQubitDensity:
