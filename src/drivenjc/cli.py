@@ -308,7 +308,7 @@ def _slots(x):
     """`'%.17g,' % v` of each value of 1-D `x`, zero-padded to one whole
     number of words for all: a (len(x), words) array of `_WORD`."""
     texts = [b"%.17g," % v for v in x.tolist()]
-    size = -(-max(map(len, texts), default=1) // 8) * 8
+    size = -(-max(map(len, texts)) // 8) * 8
     return np.array(texts, f"S{size}").view(_WORD).reshape(len(x), -1)
 
 
@@ -348,8 +348,7 @@ def _write_csv(output, meta: list[str], header: list[str], rows,
             index = np.unravel_index(np.arange(start, start + n), shape)
             for j, i in enumerate(index):
                 line[:, j * width:(j + 1) * width] = slots[offsets[j] + i]
-            line[:, len(axes) * width:].reshape(n, ncol, 6)[...] = \
-                cells.transpose(1, 2, 0)
+            line[:, len(axes) * width:] = cells.transpose(1, 2, 0).reshape(n, -1)
             text = line.tobytes()
         else:
             text = cells.transpose(1, 2, 0).tobytes()
