@@ -90,10 +90,10 @@ class TestEvolve:
 class TestBranches:
     """`branches` takes exp(-kappa t) and exp(-i Omega t) on their own axes
     and forms alpha_pm and exp(-2 (kappa + i Omega) t) as products; this
-    re-association moves last digits only.  Measured on these grids (20
-    seeds, |alpha| <= 18.49, |Omega| t <= VERIFY_PHASE_LIMIT): |d alpha_pm|
-    <= 3.9e-16 |alpha| and |d f| <= 9.6e-16 max(1, |alpha|^2).  The bounds
-    below are about twice those."""
+    re-association moves last digits only.  Measured on grids like these
+    (20 seeds, |alpha| <= 18.49, |Omega| t <= VERIFY_PHASE_LIMIT):
+    |d alpha_pm| <= 3.9e-16 |alpha| and |d f| <= 9.6e-16 max(1, |alpha|^2).
+    The bounds below are about twice those."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_one_exponential_form(self, seed):
