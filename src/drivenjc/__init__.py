@@ -13,7 +13,6 @@ from .model import (
 )
 from .analytic import (
     AnalyticSnapshot,
-    coherent_overlap,
     concurrence_analytic,
     evolve,
     linear_entropy_analytic,

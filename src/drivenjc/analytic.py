@@ -4,11 +4,12 @@ In the dispersive interaction picture the field branch attached to each
 dressed atomic state is a decaying coherent state |alpha_pm(t)> with
 alpha_pm = alpha exp(-(kappa +- i Omega) t); the atomic coherence block
 carries the complex decoherence factor f(t).  Concurrence and linear
-entropy follow from f(t) and the branch overlap tau(t) in closed form.
+entropy depend only on |f| and |tau| = exp(-|alpha_+ - alpha_-|^2 / 2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +27,9 @@ class AnalyticSnapshot:
 
     alpha_plus: complex     # field amplitude attached to dressed |0>
     alpha_minus: complex    # field amplitude attached to dressed |1>
-    f: complex              # coherence (decoherence) factor
+    log_f: complex          # ln f of the coherence (decoherence) factor f
     c0: complex
     c1: complex
-
-    @property
-    def tau(self) -> complex:
-        """Overlap <alpha_plus | alpha_minus>, formed where it is read."""
-        return coherent_overlap(self.alpha_plus, self.alpha_minus)
 
 
 def _check_times(t) -> None:
@@ -41,59 +37,66 @@ def _check_times(t) -> None:
         raise ValueError(f"time must be >= 0, got {np.min(t)}")
 
 
-def coherent_overlap(beta: complex, gamma: complex) -> complex:
-    """Inner product <beta|gamma> of two coherent states, 1 at beta = gamma."""
-    return np.exp(-0.5 * np.abs(beta - gamma) ** 2
-                  + 1j * np.imag(np.conj(beta) * gamma))
+def phi(z, k: int = 1):
+    """phi_k(z) = sum_j z^j / (j + k)! elementwise: (exp(z) - 1) / z at
+    k = 1, (exp(z) - 1 - z) / z^2 at k = 2.  Below |z| = 1, where these
+    cancel, the series to z^17 (remainder below 1e-16) by Horner's rule."""
+    z = np.asarray(z)
+    out = 1.0 / math.factorial(17 + k)
+    for j in range(16, -1, -1):
+        out = out * z + 1.0 / math.factorial(j + k)
+    out, large = np.array(out), np.abs(z) >= 1.0
+    w = z[large]
+    out[large] = np.expm1(w) / w if k == 1 else (np.expm1(w) - w) / w / w
+    return out
 
 
 def branches(alpha: complex, kappa: float, Omega: float, t: float):
-    """(alpha_plus, alpha_minus, f) at times t >= 0.
-
-    alpha_pm = alpha exp(-(kappa +- i Omega) t) are the field amplitudes of
-    the dressed |0> and |1> branches, f the coherence factor, one exp of
-    the summed exponent (at large |alpha| its parts underflow and overflow
-    apart while |f| <= 1).  For kappa = 0 the damping term is exactly 0
-    (the kappa/(kappa + i Omega) prefactor vanishes): f is a pure phase.
-
-    Each exponential takes only the axes of its own inputs: exp(-kappa t)
-    those of (kappa, t) and exp(-i Omega t) those of (Omega, t).  Their
-    product is exp(-(kappa + i Omega) t), and alpha_pm and
-    exp(-2 (kappa + i Omega) t) follow from it, so f's is the one
-    exponential over the whole broadcast shape.
+    """(alpha_plus, alpha_minus, ln f) at times t >= 0: the field amplitudes
+    alpha_pm = alpha exp(-(kappa +- i Omega) t) of the dressed |0> and |1>
+    branches, and ln f = b/2 - |alpha|^2 a [phi(a + b) - phi(a)] of the
+    coherence factor, a = -2 kappa t, b = -2 i Omega t (ln f = b/2 at
+    kappa = 0).  By expm1(a + b) = expm1(a) e^b + expm1(b) the bracket is
+    b/(a + b) times N = (e^a - phi(a)) + e^a b phi_2(b), whose terms take
+    only the axes of (kappa, t) or of (Omega, t) and keep no leading 1 to
+    cancel; below |a| = 1, e^a - phi(a) is summed as expm1(a) - a phi_2(a).
     """
     _check_times(t)
-    decay = np.exp(-kappa * t)
-    rotation = decay * np.exp(-1j * Omega * t)
-    n0 = np.abs(alpha) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        damping = np.where(kappa == 0.0, 0.0, kappa * n0 / (kappa + 1j * Omega)
-                           * (1.0 - rotation ** 2))
-    f = np.exp(-1j * Omega * t + n0 * (decay ** 2 - 1.0) + damping)
-    a_plus, a_minus = alpha * rotation, alpha * np.conj(rotation)
-    return a_plus, a_minus, f
+    rotation = np.exp(-kappa * t) * np.exp(-1j * Omega * t)
+    # a is finite where kappa t overflows: e^a = 0 there, a / (a + b) reads a
+    a, b = np.maximum(-2.0 * kappa * t, -1e308), -2j * Omega * t
+    e_a, small = np.exp(a), np.abs(a) < 1.0
+    N = (np.where(small, np.expm1(a) - a * phi(a, 2),
+                  e_a - np.expm1(a) / np.where(small, 1.0, a))
+         + e_a * (b * phi(b, 2)))
+    # |a| <= |a + b|, and a tiny complex divisor could overflow; a NaN Omega
+    # (a degenerate cell) passes through without a warning
+    with np.errstate(invalid="ignore"):
+        ratio = a / np.where(np.abs(a + b) < 1e-300, 1.0, a + b)
+    log_f = 0.5 * b - np.abs(alpha) ** 2 * ratio * b * N
+    return alpha * rotation, alpha * np.conj(rotation), log_f
 
 
 def evolve(p: ModelParams, d: DerivedParams, t: float) -> AnalyticSnapshot:
     """Closed-form state descriptors at times t >= 0."""
-    a_plus, a_minus, f = branches(p.alpha, p.kappa, d.Omega_eff, t)
-    return AnalyticSnapshot(alpha_plus=a_plus, alpha_minus=a_minus, f=f,
-                            c0=p.c0, c1=p.c1)
+    a_plus, a_minus, log_f = branches(p.alpha, p.kappa, d.Omega_eff, t)
+    return AnalyticSnapshot(alpha_plus=a_plus, alpha_minus=a_minus,
+                            log_f=log_f, c0=p.c0, c1=p.c1)
 
 
 def concurrence_analytic(s: AnalyticSnapshot) -> float:
     """Closed-form concurrence 2|c0 c1| |f| sqrt(1 - |tau|^2), with
     1 - |tau|^2 = -expm1(-|alpha_plus - alpha_minus|^2): 0 at t = 0."""
     w2 = -np.expm1(-np.abs(s.alpha_plus - s.alpha_minus) ** 2)
-    with np.errstate(invalid="ignore"):
-        c = 2.0 * np.abs(s.c0) * np.abs(s.c1) * np.abs(s.f) * np.sqrt(w2)
+    c = 2.0 * np.abs(s.c0) * np.abs(s.c1) * np.exp(s.log_f.real) * np.sqrt(w2)
     return np.where(w2 < TAU_DEGENERACY, 0.0, np.clip(c, 0.0, 1.0))[()]
 
 
 def linear_entropy_analytic(s: AnalyticSnapshot) -> float:
-    """Closed-form linear entropy 2|c0|^2 |c1|^2 (1 - |f|^2)."""
-    return np.maximum(
-        2.0 * np.abs(s.c0) ** 2 * np.abs(s.c1) ** 2 * (1.0 - np.abs(s.f) ** 2), 0.0)
+    """Closed-form linear entropy 2|c0|^2 |c1|^2 (1 - |f|^2), with
+    1 - |f|^2 = -expm1(2 Re ln f)."""
+    return np.maximum(2.0 * np.abs(s.c0) ** 2 * np.abs(s.c1) ** 2
+                      * -np.expm1(2.0 * s.log_f.real), 0.0)
 
 
 def photon_number(p: ModelParams, t: float) -> float:

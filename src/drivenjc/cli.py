@@ -368,8 +368,9 @@ _COLUMNS = {
     "concurrence": lambda p, s, t: analytic.concurrence_analytic(s),
     "linear_entropy": lambda p, s, t: analytic.linear_entropy_analytic(s),
     "photon_number": lambda p, s, t: analytic.photon_number(p, t),
-    "abs_f": lambda p, s, t: np.abs(s.f),
-    "abs_tau": lambda p, s, t: np.abs(s.tau),
+    "abs_f": lambda p, s, t: np.exp(s.log_f.real),
+    "abs_tau": lambda p, s, t: np.exp(
+        -0.5 * np.abs(s.alpha_plus - s.alpha_minus) ** 2),
 }
 
 
@@ -576,7 +577,8 @@ def cmd_verify(args) -> int:
     try:
         conc, entr, nbar, terr = liouville.oracle_series(p, d, *grid, nmax)
     except entanglement.InvalidDensityMatrix as exc:
-        print(f"FAIL oracle integration: {exc}")
+        print(f"FAIL oracle concurrence: the state projected onto the "
+              f"closed-form branches is not a density matrix ({exc})")
         return EXIT_VERIFY_FAIL
     closed = _observables(p, d, np.linspace(*grid),
                           ["concurrence", "linear_entropy", "photon_number"])

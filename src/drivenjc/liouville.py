@@ -153,7 +153,7 @@ def expm(A: np.ndarray) -> np.ndarray:
             first = lo.real >= hi.real
             big, small = np.where(first, lo, hi), np.where(first, hi, lo)
             E[..., j[:-1], j[1:]] = (A[..., j[:-1], j[1:]] * 2.0**-i
-                                     * np.exp(big) * _phi(small - big))
+                                     * np.exp(big) * analytic.phi(small - big))
             E[..., j, j] = np.exp(d)
     return E
 
@@ -293,13 +293,6 @@ def oracle_series(p: ModelParams, d: DerivedParams, t_start: float,
             np.maximum(1.0 - purity, 0.0), nbar, trace_err)
 
 
-def _phi(z):
-    """(exp(z) - 1) / z elementwise, 1 at z = 0."""
-    z = np.asarray(z, dtype=complex)
-    z_safe = np.where(z == 0, 1.0, z)
-    return np.where(z == 0, 1.0, np.expm1(z_safe) / z_safe)
-
-
 def apply_factorized(spec: SuperopSpec, U: np.ndarray, W: np.ndarray,
                      t: float) -> np.ndarray:
     """Apply exp(spec * t) to X = U Wdag, U and W (..., N, k) stacks, as
@@ -316,7 +309,7 @@ def apply_factorized(spec: SuperopSpec, U: np.ndarray, W: np.ndarray,
     """
     N = U.shape[-2]
     n = np.arange(float(N))
-    s = np.sqrt(spec.c_m * t * _phi((spec.c_r + spec.c_l) * t))
+    s = np.sqrt(spec.c_m * t * analytic.phi((spec.c_r + spec.c_l) * t))
     stacks = []
     for Y, r in ((U, s), (W, np.conj(s))):
         *shape, k = np.broadcast_shapes(np.shape(r), Y.shape)
@@ -388,10 +381,10 @@ def verify_disentangling(Omega: float, kappa: float, t: float,
     # 1/2 w_ab |v_a><v_b|, so its projection <v_f| . |v_g> is
     # 1/2 w_ab G_fa G_bg with G = <v_f|v_g>, w = 1, f, conj(f), 1.
     nmax = default_nmax(alpha)
-    a_plus, a_minus, f = analytic.branches(alpha, kappa, Omega, t)
+    a_plus, a_minus, log_f = analytic.branches(alpha, kappa, Omega, t)
     V = coherent_vector(np.array([a_plus, a_minus]), nmax)
     G = V.conj() @ V.T
-    weight = np.array([[1.0, f], [np.conj(f), 1.0]])[A, B]
+    weight = np.exp(np.array([[0.0, log_f], [np.conj(log_f), 0.0]]))[A, B]
     half = coherent_vector(alpha, nmax)[:, None] / math.sqrt(2.0)
     frame = V.conj() @ apply_factorized(spec, half, half, t) @ V.T
     target = 0.5 * np.einsum("k,fk,kg->kfg", weight, G[:, A], G[B])

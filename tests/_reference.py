@@ -1,9 +1,16 @@
 """Scalar references the tests hold the library against."""
 
+import mpmath
 import numpy as np
 
 from drivenjc import entanglement, liouville
 from drivenjc.analytic import TAU_DEGENERACY, AnalyticSnapshot
+
+
+def coherent_overlap(beta: complex, gamma: complex) -> complex:
+    """Inner product <beta|gamma> of two coherent states, 1 at beta = gamma."""
+    return np.exp(-0.5 * np.abs(beta - gamma) ** 2
+                  + 1j * np.imag(np.conj(beta) * gamma))
 
 
 def two_qubit_density(s: AnalyticSnapshot) -> np.ndarray:
@@ -14,12 +21,13 @@ def two_qubit_density(s: AnalyticSnapshot) -> np.ndarray:
     |tau| = 1 the two branches coincide and the |down> components are set
     to zero (rank-deficient embedding).
     """
-    w2 = 1.0 - abs(s.tau) ** 2
+    tau = coherent_overlap(s.alpha_plus, s.alpha_minus)
+    w2 = 1.0 - abs(tau) ** 2
     w = np.sqrt(w2) if w2 > TAU_DEGENERACY else 0.0
     u = np.array([1.0, 0.0], dtype=complex)        # field vector of |up>
-    v = np.array([s.tau, w], dtype=complex)        # field vector of branch 1
+    v = np.array([tau, w], dtype=complex)          # field vector of branch 1
     rho = np.zeros((4, 4), dtype=complex)
-    coh = s.c0 * np.conj(s.c1) * s.f
+    coh = s.c0 * np.conj(s.c1) * np.exp(s.log_f)
     for F in range(2):
         for G in range(2):
             rho[2 * F + 0, 2 * G + 0] += abs(s.c0) ** 2 * u[F] * np.conj(u[G])
@@ -66,9 +74,29 @@ def linear_entropy_general(rho: np.ndarray):
     return float(s) if s.ndim == 0 else s
 
 
+def entropy_and_abs_f_mp(alpha, kappa, Omega, t, c0, c1):
+    """(linear entropy, |f|) at 50 digits from the paper's form of ln f,
+    -i Omega t + |alpha|^2 (exp(-2 kappa t) - 1)
+    + kappa |alpha|^2 / (kappa + i Omega) (1 - exp(-2 (kappa + i Omega) t)),
+    each input taken exactly as the double it is."""
+    with mpmath.workdps(50):
+        kappa, Omega, t = (mpmath.mpf(float(x)) for x in (kappa, Omega, t))
+        n0 = abs(mpmath.mpc(complex(alpha))) ** 2
+        log_f = -1j * Omega * t + n0 * mpmath.expm1(-2 * kappa * t)
+        if kappa:
+            s = kappa + 1j * Omega
+            log_f -= kappa * n0 / s * mpmath.expm1(-2 * s * t)
+        c0, c1 = (abs(mpmath.mpc(complex(c))) ** 2 for c in (c0, c1))
+        re = mpmath.re(log_f)
+        weight = 2 * c0 * c1
+        return float(-weight * mpmath.expm1(2 * re)), float(mpmath.exp(re))
+
+
 def branches_one_exponential(alpha, kappa, Omega, t):
     """(alpha_plus, alpha_minus, f) with each exponential over the whole
-    broadcast shape: the form `analytic.branches` factors."""
+    broadcast shape, and the damping term of f as the paper writes it,
+    kappa |alpha|^2 / (kappa + i Omega) (1 - exp(-2 (kappa + i Omega) t)):
+    the form `analytic.branches` rewrites."""
     a_plus = alpha * np.exp(-(kappa + 1j * Omega) * t)
     a_minus = alpha * np.exp(-(kappa - 1j * Omega) * t)
     n0 = np.abs(alpha) ** 2

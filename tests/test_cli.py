@@ -599,9 +599,8 @@ def _five_columns(p, d, t):
         "concurrence": analytic.concurrence_analytic(s),
         "linear_entropy": analytic.linear_entropy_analytic(s),
         "photon_number": analytic.photon_number(p, t),
-        "abs_f": np.abs(s.f),
-        "abs_tau": np.abs(analytic.coherent_overlap(s.alpha_plus,
-                                                    s.alpha_minus)),
+        "abs_f": np.exp(np.real(s.log_f)),
+        "abs_tau": np.exp(-0.5 * np.abs(s.alpha_plus - s.alpha_minus) ** 2),
     }
 
 

@@ -254,7 +254,8 @@ class TestIntegrate:
         times = np.linspace(0.0, 12.0, 4)
         got = states_at(Om, initial_state(alpha, nmax), k, 0.0, times[1], 4)
         for t, rho in zip(times, got):
-            a_plus, a_minus, f = an.branches(alpha, k, Om, t)
+            a_plus, a_minus, log_f = an.branches(alpha, k, Om, t)
+            f = np.exp(log_f)
             v = lv.coherent_vector(np.array([a_plus, a_minus]), nmax)
             weight = np.array([[1.0, f], [np.conj(f), 1.0]])
             want = 0.5 * weight[:, :, None, None] * np.einsum(
@@ -459,8 +460,8 @@ class TestSuperoperators:
         out = lv.apply_factorized(lv.generator(Om, k, 0, 1), half, half, t)
         vp = lv.coherent_vector(s.alpha_plus, nmax)
         vm = lv.coherent_vector(s.alpha_minus, nmax)
-        np.testing.assert_allclose(out, 0.5 * s.f * np.outer(vp, vm.conj()),
-                                   atol=1e-10)
+        np.testing.assert_allclose(
+            out, 0.5 * np.exp(s.log_f) * np.outer(vp, vm.conj()), atol=1e-10)
 
     def test_series_exact_on_boundary_support(self):
         # M^N = 0, so the series is exact even with the top levels occupied

@@ -2,11 +2,12 @@
 reject.
 
 Each slip is patched into `analytic` and `verify` must exit 1 with a FAIL
-line of the named stage.  Concurrence, linear entropy and photon number
-depend only on |f| and |tau|, so the phase slips of `branches` (f
-conjugated, -f, alpha_pm swapped, a common phase) show only in stage 1's
-coherent dyad; at kappa = 0 the kappa slips vanish by construction, so their
-inputs have kappa > 0.
+line of the named stage.  `branches` returns ln f, so its slips of f are
+written on ln f.  Concurrence, linear entropy and photon number depend only
+on |f| and |tau|, so the phase slips of `branches` (f conjugated, -f,
+alpha_pm swapped, a common phase) show only in stage 1's coherent dyad; at
+kappa = 0 the kappa slips vanish by construction, so their inputs have
+kappa > 0.
 """
 
 import numpy as np
@@ -29,30 +30,38 @@ def _kappa_doubled_in_amplitudes(alpha, kappa, Omega, t):
 
 def _damping_dropped(alpha, kappa, Omega, t):
     a_plus, a_minus, _ = _branches(alpha, kappa, Omega, t)
-    f = np.exp(-1j * Omega * t
-               + np.abs(alpha) ** 2 * (np.exp(-2.0 * kappa * t) - 1.0))
-    return a_plus, a_minus, f
+    log_f = (-1j * Omega * t
+             + np.abs(alpha) ** 2 * (np.exp(-2.0 * kappa * t) - 1.0))
+    return a_plus, a_minus, log_f
+
+
+def _phi_of_decay_dropped(alpha, kappa, Omega, t):
+    # ln f without its -phi(-2 kappa t) term
+    a_plus, a_minus, _ = _branches(alpha, kappa, Omega, t)
+    a, b = -2.0 * kappa * t, -2j * Omega * t
+    log_f = 0.5 * b - np.abs(alpha) ** 2 * a * analytic.phi(a + b)
+    return a_plus, a_minus, log_f
 
 
 def _f_conjugated(alpha, kappa, Omega, t):
-    a_plus, a_minus, f = _branches(alpha, kappa, Omega, t)
-    return a_plus, a_minus, np.conj(f)
+    a_plus, a_minus, log_f = _branches(alpha, kappa, Omega, t)
+    return a_plus, a_minus, np.conj(log_f)
 
 
 def _branches_swapped(alpha, kappa, Omega, t):
-    a_plus, a_minus, f = _branches(alpha, kappa, Omega, t)
-    return a_minus, a_plus, f
+    a_plus, a_minus, log_f = _branches(alpha, kappa, Omega, t)
+    return a_minus, a_plus, log_f
 
 
 def _f_negated(alpha, kappa, Omega, t):
-    a_plus, a_minus, f = _branches(alpha, kappa, Omega, t)
-    return a_plus, a_minus, -f
+    a_plus, a_minus, log_f = _branches(alpha, kappa, Omega, t)
+    return a_plus, a_minus, log_f + 1j * np.pi
 
 
 def _common_phase(alpha, kappa, Omega, t):
-    a_plus, a_minus, f = _branches(alpha, kappa, Omega, t)
+    a_plus, a_minus, log_f = _branches(alpha, kappa, Omega, t)
     phase = np.exp(-1e-6j * np.asarray(t))
-    return a_plus * phase, a_minus * phase, f
+    return a_plus * phase, a_minus * phase, log_f
 
 
 def _concurrence_without_f(s):
@@ -62,7 +71,8 @@ def _concurrence_without_f(s):
 
 
 def _entropy_with_abs_f(s):
-    return 2.0 * np.abs(s.c0) ** 2 * np.abs(s.c1) ** 2 * (1.0 - np.abs(s.f))
+    return (2.0 * np.abs(s.c0) ** 2 * np.abs(s.c1) ** 2
+            * (1.0 - np.exp(np.real(s.log_f))))
 
 
 def _photons_half_decay(p, t):
@@ -83,7 +93,8 @@ CATALOGUE = [
                    _common_phase)
       for given in ("defaults", "lossless")],
     *[("branches", slip, given, "disentangling")
-      for slip in (_kappa_doubled_in_amplitudes, _damping_dropped)
+      for slip in (_kappa_doubled_in_amplitudes, _damping_dropped,
+                   _phi_of_decay_dropped)
       for given in ("defaults", "lossy")],
     ("concurrence_analytic", _concurrence_without_f, "defaults",
      "oracle concurrence"),
@@ -101,6 +112,18 @@ def test_verify_rejects_slip(name, slip, given, stage, capsys, monkeypatch):
     assert main(["verify", *INPUTS[given]]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith(f"FAIL {stage}") for line in lines)
+
+
+def test_projected_state_fails_the_concurrence_line(capsys, monkeypatch):
+    # with kappa doubled in alpha_pm the oracle's blocks keep their trace,
+    # but their projection onto the slipped branches is no density matrix
+    monkeypatch.setattr(analytic, "branches", _kappa_doubled_in_amplitudes)
+    assert main(["verify", *INPUTS["defaults"]]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith(
+        "FAIL oracle concurrence: the state projected onto the closed-form "
+        "branches is not a density matrix (trace deviates from 1 by ")
+    assert sum(line.startswith("FAIL") for line in lines) == 4
 
 
 def test_unpatched_inputs_pass(capsys):
