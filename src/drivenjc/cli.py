@@ -123,6 +123,8 @@ def build_config(args: argparse.Namespace) -> dict:
         flag = getattr(args, key)
         cfg[key] = (_number(name, kind, flag) if flag is not None
                     else file_values.get(key, default))
+    if cfg["nmax"] is not None:     # every command, also where no oracle runs
+        model.check_nmax(cfg["nmax"])
     return cfg
 
 
@@ -136,17 +138,11 @@ def model_params(cfg: dict, **over) -> model.ModelParams:
     )
 
 
-def _nmax(cfg: dict) -> int:
-    """The explicit --nmax, checked, else the default for |alpha|."""
-    if cfg["nmax"] is not None:
-        return model.check_nmax(cfg["nmax"])
-    return model.default_nmax(complex(cfg["alpha_re"], cfg["alpha_im"]))
-
-
 def _default_t_eval(cfg: dict) -> float:
     """1/g, the evaluation time of `sweep2d` and `fig1` unless one is given."""
-    if cfg["g"] == 0:
-        raise ValueError("t_eval defaults to 1/g, undefined at g = 0")
+    if cfg["g"] == 0 or 1.0 / cfg["g"] == math.inf:
+        raise ValueError("t_eval defaults to 1/g, undefined at g = "
+                         f"{abs(cfg['g']):.3g}")
     return 1.0 / cfg["g"]
 
 
@@ -172,10 +168,8 @@ def _fmt(x) -> str:
 
 
 def _metadata_lines(cfg: dict, **extra) -> list[str]:
-    items = {opt[0]: cfg[key] for key, opt in _SPEC.items()}
-    items["nmax"] = _nmax(cfg)
-    items.update(extra)
-    return [f"# {k} = {_fmt(v)}" for k, v in items.items()]
+    items = {opt[0]: cfg[key] for key, opt in _SPEC.items() if key != "nmax"}
+    return [f"# {k} = {_fmt(v)}" for k, v in {**items, **extra}.items()]
 
 
 def _require_finite(values, degenerate=False):
@@ -443,24 +437,19 @@ def _parse_grid(text: str):
 
 def cmd_params(args) -> int:
     cfg = build_config(args)
-    _nmax(cfg)
     p = model_params(cfg)
     d = model.derive_params(p)
-    n_typ = math.ceil(abs(p.alpha) ** 2)
-    ratio = model.dispersive_ratio(d, n_typ)
+    ratio = model.domain(p, d)["ratio"]
     report = {name: getattr(d, name) for name in (
         "delta1", "Omega1", "theta", "g_prime", "omega_prime", "delta2",
         "Omega_eff")}
-    report[f"dispersive_ratio(n={model.short_int(n_typ)})"] = ratio
+    n_typ = model.short_int(math.ceil(abs(p.alpha) ** 2))
+    report[f"dispersive_ratio(n={n_typ})"] = ratio.value
     _require_finite(list(report.values()))
     for name, value in report.items():
         print(f"{name:<11} = {_fmt(value)}")
-    if ratio > model.DISPERSIVE_THRESHOLD:
-        print(
-            f"warning: dispersive ratio {ratio:.3g} exceeds threshold "
-            f"{model.DISPERSIVE_THRESHOLD}; dispersive treatment questionable",
-            file=sys.stderr,
-        )
+    if ratio.exceeded:
+        print(f"warning: {ratio.message}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -471,20 +460,18 @@ def cmd_timeseries(args) -> int:
     grid = *_time_range(cfg), _steps(cfg)
     times = np.linspace(*grid)
     columns = {"t": times, **_observables(p, d, times)}
+    extra = {"oracle": 0}
     if args.oracle:
         from . import liouville
-        conc, _, _, terr = liouville.oracle_series(p, d, *grid, _nmax(cfg))
+        domain = model.domain(p, d, grid[1])
+        extra = {"nmax": cfg["nmax"] or domain["truncation"].value, "oracle": 1}
+        conc, _, _, terr = liouville.oracle_series(p, d, *grid, extra["nmax"])
         columns.update(concurrence_numeric=conc, trace_error=terr)
-        phase = _phase(p, d, grid[1])
     rows = _require_finite(np.column_stack(list(columns.values())))
     # after every check, so that a run that fails prints only its error
-    if args.oracle and phase > VERIFY_PHASE_LIMIT:
-        print(f"warning: oracle phase |Omega_eff| min(t_end, 1/kappa) = "
-              f"{phase:.3g} rad exceeds {VERIFY_PHASE_LIMIT:g}, the largest "
-              "verify resolves; concurrence_numeric may miss its 1e-8 gate",
-              file=sys.stderr)
-    _write_csv(args.output, _metadata_lines(cfg, oracle=int(args.oracle)),
-               list(columns), rows)
+    if args.oracle and domain["phase"].exceeded:
+        print(f"warning: {domain['phase'].message}", file=sys.stderr)
+    _write_csv(args.output, _metadata_lines(cfg, **extra), list(columns), rows)
     return EXIT_OK
 
 
@@ -525,19 +512,6 @@ def cmd_fig(args) -> int:
 
 #: times of verify's first stage, the disentangling check
 DISENTANGLING_TIMES = (10.0, 100.0, 500.0)
-#: largest phase |Omega_eff| min(t, 1/kappa) over verify's times that its
-#: routes resolve in float64: a decade below 3.2e7 rad, where the concurrence
-#: first misses its 1e-8 gate (kappa = 0, |alpha| = 18; 4.2e7 to 1e8 rad at
-#: |alpha| = 0.5 to 4); beyond t ~ 1/kappa the field has decayed
-VERIFY_PHASE_LIMIT = 3e6
-
-
-def _phase(p: model.ModelParams, d: model.DerivedParams,
-           horizon: float) -> float:
-    """|Omega_eff| min(horizon, 1/kappa), the phase an oracle must follow
-    over [0, horizon]; beyond t ~ 1/kappa the field has decayed."""
-    return abs(d.Omega_eff) / max(1.0 / horizon if horizon else math.inf,
-                                  p.kappa)
 
 
 def cmd_verify(args) -> int:
@@ -547,21 +521,14 @@ def cmd_verify(args) -> int:
     p = model_params(cfg)
     d = model.derive_params(p)
     _require_finite(d.Omega_eff)
-    # bad oracle input exits 2 before any verdict is printed; stage 1's dyad
-    # runs at default_nmax(alpha) whatever --nmax says
-    dyad_nmax = model.default_nmax(p.alpha)
-    if dyad_nmax > model.NMAX_LIMIT:
-        raise ValueError(f"|alpha| = {abs(p.alpha):.6g}: verify's dyad runs "
-                         f"at default_nmax(alpha) = "
-                         f"{model.short_int(dyad_nmax)} > NMAX_LIMIT = "
-                         f"{model.NMAX_LIMIT}")
     grid = *_time_range(cfg), 16
-    nmax = _nmax(cfg)
+    # exit 2 before any verdict; stage 1's dyad runs at the default truncation
+    domain = model.domain(p, d, max(grid[1], *DISENTANGLING_TIMES))
+    for record in (domain["truncation"], domain["phase"]):
+        if record.exceeded:
+            raise ValueError(record.message)
+    nmax = cfg["nmax"] or domain["truncation"].value
     liouville.coherent_vector(p.alpha, nmax)
-    phase = _phase(p, d, max(grid[1], *DISENTANGLING_TIMES))
-    if not phase <= VERIFY_PHASE_LIMIT:
-        raise ValueError(f"verify resolves a phase |Omega_eff| min(t, 1/kappa) "
-                         f"<= {VERIFY_PHASE_LIMIT:g} rad, got {phase:.3g}")
     ok = True
 
     # stage 1: the factorized exponentials against two independent routes

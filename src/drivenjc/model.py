@@ -101,20 +101,17 @@ def derive_params(p: ModelParams) -> DerivedParams:
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         Omega_eff = np.where(degenerate, np.nan, g_prime**2 / delta2)[()]
-    return DerivedParams(
-        delta1=delta1,
-        Omega1=Omega1,
-        theta=theta,
-        g_prime=g_prime,
-        omega_prime=omega_prime,
-        delta2=delta2,
-        Omega_eff=Omega_eff,
-        degenerate=degenerate,
-    )
+    return DerivedParams(delta1, Omega1, theta, g_prime, omega_prime, delta2,
+                         Omega_eff, degenerate)
 
 
 #: Largest accepted Fock truncation; one oracle state at nmax = 500 is 16 MB.
 NMAX_LIMIT = 500
+#: largest phase |Omega_eff| min(t, 1/kappa) over verify's times that its
+#: routes resolve in float64: a decade below 3.2e7 rad, where the concurrence
+#: first misses its 1e-8 gate (kappa = 0, |alpha| = 18; 4.2e7 to 1e8 rad at
+#: |alpha| = 0.5 to 4)
+VERIFY_PHASE_LIMIT = 3e6
 
 
 def short_int(n: int) -> str:
@@ -145,14 +142,48 @@ def dispersive_ratio(d: DerivedParams, n: int) -> float:
     """Perturbation-strength ratio sqrt(n+1) g' / |delta2| at photon number n.
 
     The dispersive treatment is trustworthy when this is small; compare
-    against DISPERSIVE_THRESHOLD.  A scalar delta2 = 0 raises
-    DegenerateDispersive; degenerate cells of an array are NaN, as in
-    `Omega_eff`.
+    against DISPERSIVE_THRESHOLD.  Degenerate cells of an array are NaN, as
+    in `Omega_eff` (`derive_params` raises on a degenerate single point).
     """
     if np.any(np.less(n, 0)):
         raise ValueError(f"photon number must be >= 0, got {n}")
-    if np.ndim(d.delta2) == 0 and d.delta2 == 0:
-        raise DegenerateDispersive("delta2 = 0: dispersive ratio undefined")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.sqrt(n + 1.0) * d.g_prime / np.abs(d.delta2)
     return np.where(d.degenerate, np.nan, ratio)[()]
+
+
+@dataclass(frozen=True)
+class Bound:
+    """A domain record: a value, its upper bound and the message naming both."""
+
+    value: float
+    bound: float
+    message: str
+
+    @property
+    def exceeded(self) -> bool:
+        return not self.value <= self.bound     # so does a NaN value
+
+
+def domain(p: ModelParams, d: DerivedParams, horizon: float = 0.0) -> dict:
+    """One point's input domain as records: "truncation", default_nmax(alpha)
+    against NMAX_LIMIT; "phase", |Omega_eff| min(horizon, 1/kappa), which an
+    oracle follows over [0, horizon] (the field decays by t ~ 1/kappa),
+    against VERIFY_PHASE_LIMIT; "ratio", the dispersive ratio at
+    n = ceil(|alpha|^2) against DISPERSIVE_THRESHOLD.  An overflowing
+    truncation bound raises ValueError."""
+    nmax = default_nmax(p.alpha)
+    phase = abs(d.Omega_eff) / max(1 / horizon if horizon else math.inf,
+                                   p.kappa)
+    ratio = dispersive_ratio(d, math.ceil(abs(p.alpha) ** 2))
+    return dict(
+        truncation=Bound(nmax, NMAX_LIMIT, f"|alpha| = {abs(p.alpha):.6g}: "
+                         "verify's dyad runs at default_nmax(alpha) = "
+                         f"{short_int(nmax)} > NMAX_LIMIT = {NMAX_LIMIT}"),
+        phase=Bound(phase, VERIFY_PHASE_LIMIT, "oracle phase |Omega_eff| "
+                    f"min(t, 1/kappa) = {phase:.3g} rad exceeds "
+                    f"{VERIFY_PHASE_LIMIT:g}, the largest verify resolves; "
+                    "the oracle concurrence may miss its 1e-8 gate"),
+        ratio=Bound(ratio, DISPERSIVE_THRESHOLD, "dispersive ratio "
+                    f"{ratio:.3g} exceeds threshold {DISPERSIVE_THRESHOLD}; "
+                    "dispersive treatment questionable"))

@@ -1,14 +1,16 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from drivenjc import analytic as an
-from drivenjc import cli
 from drivenjc import entanglement as ent
 from drivenjc import liouville as lv
+from drivenjc import model
 from drivenjc.model import ModelParams, derive_params
 
 from _reference import (branches_one_exponential, coherent_overlap,
@@ -113,8 +115,8 @@ class TestBranches:
         Omega = rng.choice([-1.0, 1.0], 10) * 10.0 ** rng.uniform(-5, 2, 10)
         t = np.concatenate([[0.0], 10.0 ** rng.uniform(-3.0, 3.0, 9)])
         # |Omega| t up to the largest phase verify resolves, and at it
-        t = np.minimum(t, cli.VERIFY_PHASE_LIMIT / np.abs(Omega[:, None]))
-        t[:, -1] = cli.VERIFY_PHASE_LIMIT / np.abs(Omega)
+        t = np.minimum(t, model.VERIFY_PHASE_LIMIT / np.abs(Omega[:, None]))
+        t[:, -1] = model.VERIFY_PHASE_LIMIT / np.abs(Omega)
         args = (alpha[:, None, None, None], kappa[:, None, None],
                 Omega[:, None], t)
         a_plus, a_minus, log_f = an.branches(*args)
@@ -130,6 +132,96 @@ class TestBranches:
             np.exp(-1j * Omega[:, None] * t), got[2][:, 0].shape))
         for new, old in zip(got, want):
             assert np.array_equal(new[:, 0], old[:, 0])
+
+
+def _vanishes(expr) -> bool:
+    """Whether sympy reduces `expr` to exactly 0: a common denominator, then
+    the exponentials multiplied out and combined."""
+    expr = sp.expand(sp.cancel(expr))
+    return sp.expand(sp.powsimp(expr, combine="exp")) == 0
+
+
+class TestSymbolicProof:
+    """The closed form solves the oracle's own master equation identically.
+
+    The two-branch ansatz rho_ab = c_a conj(c_b) F_ab |v_a><v_b|, with
+    v_0 = alpha_+, v_1 = alpha_-, F_00 = F_11 = 1 and F_01 = conj(F_10) = f,
+    goes into the block generator c_m M + c_r R + c_l L + c_s of
+    `liouville.generator`.  On the ansatz M X = v_a conj(v_b) X,
+    R X = v_a adag X and L X = conj(v_b) X a, and
+    d|v>/dt = (dv/dt adag - 1/2 d|v|^2/dt)|v>, so each block's master
+    equation is three scalar identities: dv_a/dt = c_r v_a,
+    d conj(v_b)/dt = c_l conj(v_b) and
+    d ln F/dt - 1/2 d(|v_a|^2 + |v_b|^2)/dt = c_s + c_m v_a conj(v_b).
+    The coefficients come from `liouville.generator` itself, so the proven
+    equation is the one the oracle propagates; alpha_pm and ln f are those
+    of `analytic.branches`' docstring, and one test ties them to its values.
+    """
+
+    t, kappa, Omega, x, y = sp.symbols("t kappa Omega x y", real=True)
+
+    @staticmethod
+    def phi(z):
+        return (sp.exp(z) - 1) / z
+
+    def branches(self, kappa_slip=1):
+        """(alpha_+, alpha_-, ln f) in sympy, alpha = x + i y; kappa_slip
+        scales kappa inside ln f only, a slip the proof must reject."""
+        t, kappa, Omega = self.t, self.kappa, self.Omega
+        alpha = self.x + sp.I * self.y
+        a, b = -2 * kappa_slip * kappa * t, -2 * sp.I * Omega * t
+        log_f = b / 2 - (self.x**2 + self.y**2) * a * (
+            self.phi(a + b) - self.phi(a))
+        return (alpha * sp.exp(-(kappa + sp.I * Omega) * t),
+                alpha * sp.exp(-(kappa - sp.I * Omega) * t), log_f)
+
+    def residuals(self, a, b, branches):
+        """The three scalar residuals of block (a, b)."""
+        v, log_f = branches[:2], branches[2]
+        log_F = {(0, 1): log_f, (1, 0): sp.conjugate(log_f)}.get((a, b), 0)
+        spec = lv.generator(self.Omega, self.kappa, a, b)
+        c_m, c_r, c_l, c_s = (sp.nsimplify(c) for c in (
+            spec.c_m, spec.c_r, spec.c_l, spec.c_s))
+        va, vb = v[a], sp.conjugate(v[b])
+        d = lambda expr: sp.diff(expr, self.t)   # noqa: E731
+        return [d(va) - c_r * va, d(vb) - c_l * vb,
+                d(log_F) - d(va * sp.conjugate(va) + vb * sp.conjugate(vb)) / 2
+                - c_s - c_m * va * vb]
+
+    @pytest.mark.parametrize("block", [(0, 1), (0, 0), (1, 1), (1, 0)])
+    def test_residuals_vanish(self, block):
+        assert all(map(_vanishes, self.residuals(*block, self.branches())))
+
+    def test_a_slip_leaves_a_residual(self):
+        # kappa doubled in ln f only: the amplitudes still solve their
+        # equations, the coherence equation no longer
+        residuals = self.residuals(0, 1, self.branches(kappa_slip=2))
+        assert [_vanishes(r) for r in residuals] == [True, True, False]
+
+    def test_rewrite_of_the_bracket(self):
+        # b/(a + b) [(e^a - phi(a)) + e^a b phi_2(b)] = phi(a + b) - phi(a),
+        # the form `branches` evaluates
+        a, b = sp.symbols("a b")
+        phi2 = (sp.exp(b) - 1 - b) / b**2
+        lhs = b / (a + b) * ((sp.exp(a) - self.phi(a)) + sp.exp(a) * b * phi2)
+        assert _vanishes(lhs - (self.phi(a + b) - self.phi(a)))
+
+    def test_proven_form_is_the_evaluated_one(self):
+        # the sympy expressions at 30 digits against `analytic.branches`
+        symbols = (self.x, self.y, self.kappa, self.Omega, self.t)
+        exact = sp.lambdify(symbols, self.branches(), "mpmath")
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            alpha = 4.0 * rng.random() * cmath.exp(2j * math.pi * rng.random())
+            kappa = 10.0 ** rng.uniform(-4, 0)
+            Omega = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 0)
+            t = 10.0 ** rng.uniform(-2, 2.5)
+            with mpmath.workdps(30):
+                want = [complex(w) for w in exact(
+                    alpha.real, alpha.imag, kappa, Omega, t)]
+            got = an.branches(alpha, kappa, Omega, t)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
 
 
 def reference_errors(seed: int, n: int) -> tuple[float, float]:

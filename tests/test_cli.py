@@ -111,10 +111,18 @@ class TestTimeseries:
         rc = main(["timeseries", "--oracle", "--steps", "5", "--t-end", "60",
                    "--output", str(out)])
         assert rc == 0
-        _, header, rows = read_csv(out)
+        meta, header, rows = read_csv(out)
+        assert [line for line in meta if "nmax" in line] == ["# nmax = 20"]
         assert header[-2:] == ["concurrence_numeric", "trace_error"]
         np.testing.assert_allclose(rows[:, 6], rows[:, 1], atol=1e-6)
         assert rows[:, 7].max() < 1e-8
+
+    def test_oracle_records_explicit_nmax(self, capsys):
+        # the metadata records the truncation the oracle ran at
+        assert main(["timeseries", "--oracle", "--nmax", "30", "--steps",
+                     "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "nmax" in line] == ["# nmax = 30"]
 
     def test_bad_steps_exits_2(self):
         assert main(["timeseries", "--steps", "1"]) == 2
@@ -188,6 +196,8 @@ _ERROR_TEXT = {
     ("verify", "--alpha-re", "18.6", "--nmax", "500"):
         "error: |alpha| = 18.6: verify's dyad runs at default_nmax(alpha) = "
         "505 > NMAX_LIMIT = 500\n",
+    ("fig1", "--g", "1e-320", "--grid", "2x2"):
+        "error: t_eval defaults to 1/g, undefined at g = 1e-320\n",
 }
 
 
@@ -240,6 +250,10 @@ class TestInputContract:
         # phases above VERIFY_PHASE_LIMIT: 1e11 rad, and 5e303 rad at g = 1e150
         (["verify", "--kappa", "0", "--t-end", "1e14"], 2),
         (["verify", "--g", "1e150"], 2),
+        # a g whose default evaluation time 1/g overflows to inf
+        (["fig1", "--g", "1e-320", "--grid", "2x2"], 2),
+        (["sweep2d", "--g", "5e-324", "--axis1", "lambda:0:1",
+          "--axis2", "kappa:0:1e-3", "--grid", "2x2"], 2),
     ])
     def test_exit_code_without_output(self, argv, code, capsys, tmp_path,
                                       monkeypatch):
@@ -289,8 +303,10 @@ class TestInputContract:
         capsys.readouterr()
 
     def test_closed_forms_need_no_fock_space(self, capsys):
+        # and record no truncation: default_nmax(100) would be 10 810
         assert main(["timeseries", "--alpha-re", "100"]) == 0
-        assert capsys.readouterr().out.count("\n") > 600
+        out = capsys.readouterr().out
+        assert out.count("\n") > 600 and "# nmax" not in out
 
     @pytest.mark.parametrize("exc, message", [
         (MemoryError("Unable to allocate 2.98 GiB for an array"),
@@ -430,9 +446,9 @@ def valid_verify_inputs(seed, count, alpha_max=4.0):
     |alpha| <= alpha_max; kappa = 0 with probability 0.15, else log-uniform on
     [1e-4, 1]; g log-uniform on [1e-3, 5e-2]; lambda and omega_c each
     uniform on [0, 1]; (c0, c1) from a normalised Gaussian 4-vector; t_end
-    uniform on [1, 500].  Draws that are degenerate, or whose
-    dispersive_ratio at n = ceil(|alpha|^2) exceeds DISPERSIVE_THRESHOLD,
-    are skipped.
+    uniform on [1, 500].  Draws that are degenerate, or whose domain record
+    "ratio" (dispersive_ratio at n = ceil(|alpha|^2)) exceeds its bound
+    DISPERSIVE_THRESHOLD, are skipped.
     """
     rng = np.random.default_rng(seed)
     inputs = []
@@ -455,8 +471,7 @@ def valid_verify_inputs(seed, count, alpha_max=4.0):
             d = model.derive_params(p)
         except model.DegenerateDispersive:
             continue
-        n = math.ceil(abs(p.alpha) ** 2)
-        if model.dispersive_ratio(d, n) <= model.DISPERSIVE_THRESHOLD:
+        if not model.domain(p, d)["ratio"].exceeded:
             inputs.append(argv)
     return inputs
 
@@ -898,9 +913,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv, bound", [
         # decay caps the phase at |Omega_eff| / kappa = 1e7 rad, still above
-        (["--kappa", "1e-10", "--t-end", "1e14"], cli.VERIFY_PHASE_LIMIT),
-        (["--kappa", "0", "--t-end", "1e14"], cli.VERIFY_PHASE_LIMIT),
-        (["--g", "1e150"], cli.VERIFY_PHASE_LIMIT),
+        (["--kappa", "1e-10", "--t-end", "1e14"], model.VERIFY_PHASE_LIMIT),
+        (["--kappa", "0", "--t-end", "1e14"], model.VERIFY_PHASE_LIMIT),
+        (["--g", "1e150"], model.VERIFY_PHASE_LIMIT),
     ])
     def test_unresolvable_input_names_its_bound(self, argv, bound, capsys):
         assert main(["verify", *argv]) == 2

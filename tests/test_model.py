@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from drivenjc.model import (
+    DISPERSIVE_THRESHOLD,
+    NMAX_LIMIT,
+    VERIFY_PHASE_LIMIT,
+    Bound,
     DegenerateDispersive,
     ModelParams,
     default_nmax,
     derive_params,
     dispersive_ratio,
+    domain,
 )
 
 
@@ -72,6 +77,36 @@ class TestDeriveParams:
         assert 0.0 <= d.theta < math.pi
         assert 0.0 <= d.g_prime <= 0.01
 
+    def test_dressed_frame_matches_diagonalization(self):
+        """The dressed frame against numpy.linalg.eigh of the rotating-frame
+        atom-plus-drive Hamiltonian 1/2 delta1 sigma_z + lam sigma_x, basis
+        (e, g): the eigenvalue splitting is Omega1, and the element of
+        sigma_minus = |g><e| from the upper to the lower dressed state, the
+        coupling the frame keeps, has magnitude g_prime / g.  Magnitudes, so
+        that eigenvector phases do not matter.  The seeded grid covers
+        lam, omega_c in [0, 1] and adds theta near pi/2 (delta1 ~ 0) and
+        delta1 < 0; g_prime / g <= 1 is compared absolutely, since eigh
+        gives a vanishing element (theta -> pi) to absolute precision."""
+        rng = np.random.default_rng(9)
+        lam = np.concatenate([rng.uniform(0, 1, 400), rng.uniform(0, 1, 100),
+                              [0.0, 0.0, 1e-9, 0.3]])
+        omega_c = np.concatenate([rng.uniform(0, 1, 400),
+                                  1.9 + rng.uniform(-1e-6, 1e-6, 50),
+                                  rng.uniform(1.9, 3.0, 50),
+                                  [1.0, 2.5, 1.9, 1.9]])
+        d = derive_params(params(omega_c=omega_c, lam=lam))
+        assert np.min(np.abs(d.theta - np.pi / 2)) < 1e-6
+        assert np.count_nonzero(d.delta1 < 0) > 40
+        H = np.zeros((lam.size, 2, 2))
+        H[:, 0, 0], H[:, 1, 1] = 0.5 * d.delta1, -0.5 * d.delta1
+        H[:, 0, 1] = H[:, 1, 0] = lam
+        energies, states = np.linalg.eigh(H)
+        lower, upper = states[..., 0], states[..., 1]
+        kept = np.abs(upper[:, 0] * lower[:, 1])   # <lower| g><e |upper>
+        split = energies[:, 1] - energies[:, 0]
+        assert np.max(np.abs(split - d.Omega1) / d.Omega1) < 1e-14
+        assert np.max(np.abs(kept - d.g_prime / 0.01)) < 1e-14
+
 
 class TestModelParamsValidation:
     def test_negative_coupling_rejected(self):
@@ -130,6 +165,59 @@ class TestDefaultNmax:
         # |alpha|^2 overflows to inf: invalid input, not a numerical failure
         with pytest.raises(ValueError, match="1e\\+200"):
             default_nmax(1e200)
+
+
+class TestDomain:
+    def test_default_point_is_inside(self):
+        p = params(kappa=1e-3)
+        d = derive_params(p)
+        records = domain(p, d, 300.0)
+        assert records["truncation"] == Bound(20, NMAX_LIMIT,
+                                              records["truncation"].message)
+        assert records["phase"].value == pytest.approx(0.3, rel=1e-12)
+        assert records["phase"].bound == VERIFY_PHASE_LIMIT
+        assert records["ratio"].value == dispersive_ratio(d, 1)
+        assert records["ratio"].bound == DISPERSIVE_THRESHOLD
+        assert not any(r.exceeded for r in records.values())
+        # no horizon, no phase
+        assert domain(p, d)["phase"].value == 0.0
+
+    def test_truncation_names_its_bound(self):
+        # |alpha| = 18.5 implies nmax 501
+        p = params(alpha=18.5)
+        record = domain(p, derive_params(p))["truncation"]
+        assert record.exceeded and record.value == 501
+        assert record.message == ("|alpha| = 18.5: verify's dyad runs at "
+                                  "default_nmax(alpha) = 501 > NMAX_LIMIT = 500")
+
+    @pytest.mark.parametrize("kappa, horizon, phase", [
+        (0.0, 1e10, 1e7), (0.0, 1e9, 1e6),
+        # decay caps the phase at |Omega_eff| / kappa
+        (1e-10, 1e14, 1e7), (1e-9, 1e14, 1e6)])
+    def test_phase(self, kappa, horizon, phase):
+        p = params(kappa=kappa)
+        record = domain(p, derive_params(p), horizon)["phase"]
+        assert record.value == pytest.approx(phase, rel=1e-12)
+        assert record.exceeded == (phase > VERIFY_PHASE_LIMIT)
+        assert f"{phase:.3g} rad exceeds 3e+06" in record.message
+
+    def test_ratio_above_threshold(self):
+        # acceptance criterion 6(b)'s drive: ratio 0.260 at n = 1
+        p = params(omega_c=0.2, lam=0.2)
+        record = domain(p, derive_params(p))["ratio"]
+        assert record.exceeded
+        assert record.value == pytest.approx(0.260, abs=1e-3)
+        assert record.message.startswith("dispersive ratio 0.26 exceeds "
+                                         "threshold 0.2")
+
+    def test_nan_exceeds(self):
+        assert Bound(math.nan, 1.0, "").exceeded
+        assert not Bound(1.0, 1.0, "").exceeded
+
+    def test_overflowing_truncation_leaves_no_domain(self):
+        p = params(alpha=1e200)
+        with pytest.raises(ValueError, match="overflows"):
+            domain(p, derive_params(p))
 
 
 @given(st.floats(0.1, 100.0))
