@@ -460,18 +460,19 @@ def cmd_timeseries(args) -> int:
     grid = *_time_range(cfg), _steps(cfg)
     times = np.linspace(*grid)
     columns = {"t": times, **_observables(p, d, times)}
-    extra = {"oracle": 0}
+    extra = {}
     if args.oracle:
         from . import liouville
         domain = model.domain(p, d, grid[1])
-        extra = {"nmax": cfg["nmax"] or domain["truncation"].value, "oracle": 1}
+        extra["nmax"] = cfg["nmax"] or domain["truncation"].value
         conc, _, _, terr = liouville.oracle_series(p, d, *grid, extra["nmax"])
         columns.update(concurrence_numeric=conc, trace_error=terr)
     rows = _require_finite(np.column_stack(list(columns.values())))
     # after every check, so that a run that fails prints only its error
     if args.oracle and domain["phase"].exceeded:
         print(f"warning: {domain['phase'].message}", file=sys.stderr)
-    _write_csv(args.output, _metadata_lines(cfg, **extra), list(columns), rows)
+    meta = _metadata_lines(cfg, **extra, oracle=int(args.oracle))
+    _write_csv(args.output, meta, list(columns), rows)
     return EXIT_OK
 
 
