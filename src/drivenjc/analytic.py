@@ -41,13 +41,20 @@ def phi(z, k: int = 1):
     """phi_k(z) = sum_j z^j / (j + k)! elementwise: (exp(z) - 1) / z at
     k = 1, (exp(z) - 1 - z) / z^2 at k = 2.  Below |z| = 1, where these
     cancel, the series to z^17 (remainder below 1e-16) by Horner's rule."""
+    def value(z, large):
+        if large:
+            return np.expm1(z) / z if k == 1 else (np.expm1(z) - z) / z / z
+        out = 1.0 / math.factorial(17 + k)
+        for j in range(16, -1, -1):
+            out = out * z + 1.0 / math.factorial(j + k)
+        return out
+
     z = np.asarray(z)
-    out = 1.0 / math.factorial(17 + k)
-    for j in range(16, -1, -1):
-        out = out * z + 1.0 / math.factorial(j + k)
-    out, large = np.array(out), np.abs(z) >= 1.0
-    w = z[large]
-    out[large] = np.expm1(w) / w if k == 1 else (np.expm1(w) - w) / w / w
+    large = np.abs(z) >= 1.0
+    if large.all() or not large.any():
+        return np.asarray(value(z, large.all()))
+    out = np.empty(z.shape, np.result_type(z, 1.0))
+    out[large], out[~large] = value(z[large], True), value(z[~large], False)
     return out
 
 

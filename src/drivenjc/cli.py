@@ -310,48 +310,40 @@ def _write_csv(output, meta: list[str], header: list[str], rows,
                axes=()) -> None:
     """Write metadata, header and `rows` (2-D) with every cell as `%.17g`.
 
-    With `axes` (1-D point arrays, the first outermost), the table is their
-    product grid: each row is one grid point's coordinates followed by its
-    row of `rows`.  One axis is written as the first column of `rows`.  Of
-    two or more, each axis point's text and separator is laid out once, in
-    a slot of whole words (`_slots`), and each row copies its coordinates'
-    slots by grid index.  The values are formatted by `_cells` in blocks of
-    about `_CSV_BLOCK`.
+    With one or two `axes` (1-D point arrays, the first outermost), the
+    table is their product grid: each row is one grid point's coordinates
+    followed by its row of `rows`.  One axis is written as the first column
+    of `rows`.  Of two, each axis point's text and separator is laid out
+    once, in a slot of whole words (`_slots`), and row r copies the slots
+    of points divmod(r, len(axes[1])).  The values are formatted by `_cells`
+    in blocks of about `_CSV_BLOCK`, and the table is written once, whole.
     """
     if len(axes) == 1:
         rows, axes = np.column_stack([axes[0], rows]), ()
     nrow, ncol = rows.shape
-    if axes:
-        shape = [len(x) for x in axes]
-        slots = _slots(np.concatenate(axes, dtype=float))
-        width = slots.shape[1]
-        offsets = np.cumsum([0, *shape[:-1]])
+    slots = [_slots(x) for x in axes]
     separators = np.full(ncol, ord(","), np.uint64)
     separators[-1:] = ord("\n")
     separators <<= np.uint64(56)
-    parts = ["\n".join([*meta, ",".join(header)]) + "\n"]
+    parts = ["\n".join([*meta, ",".join(header), ""]).encode()]
     step = max(1, _CSV_BLOCK // max(ncol, 1))
     for start in range(0, nrow, step):
         values = np.asarray(rows[start:start + step], dtype=float)
         n = len(values)
         cells = _cells(values.ravel()).reshape(6, n, ncol)
         cells[5] |= separators
-        if axes:
+        block = cells.transpose(1, 2, 0)
+        if slots:
             # each row as words: its coordinates' slots, then its value cells
-            line = np.empty((n, len(axes) * width + 6 * ncol), _WORD)
-            index = np.unravel_index(np.arange(start, start + n), shape)
-            for j, i in enumerate(index):
-                line[:, j * width:(j + 1) * width] = slots[offsets[j] + i]
-            line[:, len(axes) * width:] = cells.transpose(1, 2, 0).reshape(n, -1)
-            text = line.tobytes()
-        else:
-            text = cells.transpose(1, 2, 0).tobytes()
-        parts.append(text.translate(None, b"\0").decode())
-    text = "".join(parts)
+            i, j = np.divmod(np.arange(start, start + n), len(axes[1]))
+            block = np.hstack([slots[0].take(i, axis=0),
+                               slots[1].take(j, axis=0), block.reshape(n, -1)])
+        parts.append(block.tobytes().translate(None, b"\0"))
+    text = b"".join(parts)
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.write(text.decode())
     else:
-        with open(output, "w") as fh:
+        with open(output, "wb") as fh:
             fh.write(text)
 
 

@@ -688,11 +688,11 @@ _SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
 class TestCsvBytes:
     @pytest.mark.parametrize("to_file", [False, True])
     @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (1, 6), (61, 1),
-                                       (10201, 3), (3, 1, 5, 2)])
+                                       (10201, 3), (3, 5, 2)])
     def test_matches_per_value_format(self, shape, to_file, tmp_path, capsys):
-        """A shape (rows, columns) is one table; a longer shape (*axis
-        lengths, columns) is the product grid of those axes, written through
-        the `axes` path and compared with its meshgrid-expanded table."""
+        """A shape (rows, columns) is one table; a shape (n1, n2, columns)
+        is the product grid of two axes, written through the `axes` path and
+        compared with its meshgrid-expanded table."""
         *counts, ncol = shape
         rng = np.random.default_rng(shape[0] * 7 + shape[1])
         size = math.prod(counts) * ncol

@@ -14,6 +14,8 @@ far below the tolerance.
 Regenerate (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which keeps every pinned line that still passes and rewrites the others.
 """
 
 import contextlib
@@ -88,16 +90,20 @@ def _same_token(want: str, got: str) -> bool:
     return math.isclose(a, b, rel_tol=RTOL, abs_tol=ATOL)
 
 
+def _same_line(want: str, got: str) -> bool:
+    """Whether `got` passes against the pinned line `want`: a metadata line
+    exactly, any other token by token."""
+    if want.startswith("#"):
+        return got == want
+    wt, gt = _TOKENS.split(want), _TOKENS.split(got)
+    return len(gt) == len(wt) and all(map(_same_token, wt, gt))
+
+
 def assert_same_text(want: str, got: str, label: str) -> None:
     want_lines, got_lines = want.splitlines(), got.splitlines()
     assert len(got_lines) == len(want_lines), f"{label}: line count"
     for i, (w, g) in enumerate(zip(want_lines, got_lines), 1):
-        if w.startswith("#"):
-            assert g == w, f"{label}:{i}: metadata"
-            continue
-        wt, gt = _TOKENS.split(w), _TOKENS.split(g)
-        assert len(gt) == len(wt) and all(
-            _same_token(a, b) for a, b in zip(wt, gt)), f"{label}:{i}: {g!r} != {w!r}"
+        assert _same_line(w, g), f"{label}:{i}: {g!r} != {w!r}"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -109,15 +115,35 @@ def test_golden_case(name, tmp_path):
         assert_same_text((want_dir / fname).read_text(), text, f"{name}/{fname}")
 
 
+def kept_lines(want: str, got: str) -> str:
+    """`got`, with each line that passes against its pinned line of `want`
+    kept as pinned, so that a regeneration moves only the lines that fail;
+    a changed line count takes `got` whole."""
+    want_lines, got_lines = want.splitlines(True), got.splitlines(True)
+    if len(want_lines) != len(got_lines):
+        return got
+    return "".join(w if _same_line(w, g) else g
+                   for w, g in zip(want_lines, got_lines))
+
+
 def regenerate() -> None:
     for name in CASES:
         target = GOLDEN / name
+        pinned = {p.name: p.read_text() for p in target.glob("*")}
         shutil.rmtree(target, ignore_errors=True)
         target.mkdir(parents=True)
         with tempfile.TemporaryDirectory() as tmp:
             files = run_case(name, Path(tmp))
         for fname, text in files.items():
-            (target / fname).write_text(text)
+            (target / fname).write_text(kept_lines(pinned.get(fname, ""), text))
+
+
+def test_regeneration_keeps_passing_lines():
+    pinned = "# a = 1\nt,c\n0,0.53562050171270115\n5,nan\n"
+    got = "# a = 2\nt,c\n0,0.53562050171270126\n5,0.5\n"
+    assert kept_lines(pinned, got) == (
+        "# a = 2\nt,c\n0,0.53562050171270115\n5,0.5\n")
+    assert kept_lines(pinned, "t,c\n") == "t,c\n"
 
 
 if __name__ == "__main__":
