@@ -18,19 +18,20 @@ class InvalidDensityMatrix(ValueError):
 
 def _check_density(rho: np.ndarray):
     """`np.linalg.eigh(rho)`, the (eigenvalues, eigenvectors) of every matrix
-    on the last two axes; raise unless each is a density matrix."""
+    on the last two axes; raise unless each is a density matrix.  Each gate
+    is written `not x <= tol`, so that a NaN fails it."""
     rho = np.asarray(rho)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise InvalidDensityMatrix(f"expected square matrices, got {rho.shape}")
     asymmetry = np.abs(rho - np.swapaxes(rho, -1, -2).conj())
-    if np.max(asymmetry, initial=0.0) > DENSITY_TOL:
+    if not np.max(asymmetry, initial=0.0) <= DENSITY_TOL:
         raise InvalidDensityMatrix("matrix is not Hermitian")
     dev = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0), initial=0.0)
-    if dev > DENSITY_TOL:
+    if not dev <= DENSITY_TOL:
         raise InvalidDensityMatrix(f"trace deviates from 1 by {dev:.3e}")
     evals, vecs = np.linalg.eigh(rho)
     lowest = evals.min(initial=0.0)
-    if lowest < -DENSITY_TOL:
+    if not -lowest <= DENSITY_TOL:
         raise InvalidDensityMatrix(f"negative eigenvalue {lowest:.3e}")
     return evals, vecs
 

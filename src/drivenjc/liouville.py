@@ -10,11 +10,14 @@ Every exponential is this module's numpy `expm`, so nothing loads scipy.
 
 The dressed atom never flips in the dispersive model, so the joint state
 is held as its four field blocks rho[a, b] = <a| rho |b>, an array of
-shape (2, 2, N, N), and each block evolves on its own.
+shape (2, 2, N, N), and each block evolves on its own.  The propagated
+samples are half-states of shape (3, N, N), the independent entries of
+rho_00, rho_11 and rho_01.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +38,7 @@ VERIFY_NMAX = 6
 #: Diagonal layout of `integrate`: block (a, b) and whether k = m - n >= 0,
 #: per class and column, for class 0 (rho_00 and rho_11 with k >= 0) and
 #: class 1 (rho_01, both signs of k).  The rest of the Hermitian state is
-#: their conjugate mirror.
+#: the adjoint of these, and is never formed in the sample loop.
 _BLOCK_A = np.array([[0, 1], [0, 0]])[:, None, None, :]
 _BLOCK_B = np.array([[0, 1], [1, 1]])[:, None, None, :]
 _UPPER = np.array([[True, True], [True, False]])[:, None, None, :]
@@ -158,10 +161,50 @@ def expm(A: np.ndarray) -> np.ndarray:
     return E
 
 
+@functools.lru_cache(maxsize=4)
+def _half_tables(N: int, L: int):
+    """(index, weights) of the (3, N, N) half-state read from the diagonal
+    layout of `integrate`, with support L <= N; cached for the last few
+    (N, L), and read-only.
+
+    index[c, n, m] is the flat position in y (2, L, 2 L) of entry (n, m) of
+    rho_00 (c = 0) and rho_11 (c = 1) on and above their main diagonals and
+    of all of rho_01 (c = 2), or 4 L^2, a trailing zero slot, for the
+    entries below the diagonal of c < 2 and those outside the support.
+    weights[c, n, 2 m + r] is D = 1 / sqrt(C(max(n, m), min(n, m))) on the
+    real (r = 0) and imaginary (r = 1) parts of a supported entry, else 0.
+    """
+    c, n, m = np.arange(3)[:, None, None], np.arange(N)[:, None], np.arange(N)
+    j, k = np.minimum(n, m), np.abs(n - m)
+    # class 0 holds rho_00 and rho_11 in columns 0 and 1, class 1 holds
+    # rho_01 above the diagonal in column 0 and below it in column 1
+    column = np.where(c == 2, n > m, c)
+    index = (np.where(c == 2, L, 0) + j) * (2 * L) + 2 * k + column
+    live = (np.maximum(n, m) < L) & ((n <= m) | (c == 2))
+    index = np.where(live, index, 4 * L * L)
+    D = np.exp(0.5 * (_LOG_FACT[j] + _LOG_FACT[k] - _LOG_FACT[j + k]))
+    weights = np.repeat(np.where(live, D, 0.0), 2, axis=-1)
+    for table in (index, weights):
+        table.setflags(write=False)
+    return index, weights
+
+
+def _hermitian_blocks(half: np.ndarray) -> np.ndarray:
+    """The (2, 2, N, N) Hermitian field blocks of a (3, N, N) half-state of
+    `integrate`: rho_00 and rho_11 are completed by the adjoints of their
+    strict upper triangles, and rho_10 is the adjoint of rho_01."""
+    adjoint = half.conj().swapaxes(-1, -2)
+    pops = half[:2] + np.tril(adjoint[:2], -1)
+    return np.array([[pops[0], half[2]], [adjoint[2], pops[1]]])
+
+
 def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,
               dt: float, count: int):
-    """Yield the (2, 2, N, N) blocks at t_start + i dt, for i < count.
+    """Yield the (3, N, N) half-states at t_start + i dt, for i < count.
 
+    A half-state holds the independent entries of the Hermitian state:
+    rho_00 and rho_11 on and above their main diagonals, zero below them,
+    and all of rho_01; `_hermitian_blocks` rebuilds the four blocks.
     Omega is the dispersive shift, rho0 the (2, 2, N, N) block array at
     t = 0, which must be Hermitian (rho_ba = rho_ab^dagger); sample 0 steps
     from t = 0 by t_start >= 0, each later one by dt >= 0.
@@ -177,10 +220,11 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,
     is real and steps the float view of its diagonals as a real product, at
     half the flops of class 1's complex one; both step in place.  The flow
     keeps rho Hermitian, so only the diagonals k >= 0 of rho_00 and rho_11
-    and all of rho_01 are propagated, and each state is a fresh array, one
-    gather from their values, the conjugates of the values for the mirror,
-    and zero.  Fock levels above the support of rho0 stay empty, since photon
-    loss only lowers n, and are not propagated; the support may reach level
+    and all of rho_01 are propagated, and each half-state is a fresh array:
+    one take from the propagated diagonals and a trailing zero slot, times
+    D.  Its index and weights are built once per (N, L) (`_half_tables`).
+    Fock levels above the support L of rho0 stay empty, since photon loss
+    only lowers n, and are not propagated; the support may reach level
     NMAX_LIMIT at most, else ValueError.
     """
     if t_start < 0 or dt < 0:
@@ -202,8 +246,7 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,
     B[:, j[:-1], j[1:]] = c_m[:, 0, :, 0] * (j[:-1] + 1.0)
     # diagonal layout y[class, j, 2 |k| + column]; d0 per class and column
     # is c_l |k| + c_s above the diagonal, c_r |k| + c_s below it
-    jj, kk = j[:, None, None], j[:, None]
-    d0 = np.where(_UPPER, c_l, c_r) * kk + c_s
+    d0 = np.where(_UPPER, c_l, c_r) * j[:, None] + c_s
     props = {}
     for h in set(steps[:2]):
         if h > 0:
@@ -214,34 +257,27 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,
             # broadcast view
             props[h] = (prop[0].real.copy(), prop[1], np.broadcast_to(
                 np.exp(d0 * h), (2, L, L, 2)).reshape(2, L, 2 * L).copy())
-    n = np.where(_UPPER, jj, jj + kk)
-    m = np.where(_UPPER, jj + kk, jj)
-    valid = np.flatnonzero(np.broadcast_to(jj + kk < L, n.shape))
-    flat = (((2 * _BLOCK_A + _BLOCK_B) * N + n) * N + m).reshape(-1)[valid]
-    mirror = (((2 * _BLOCK_B + _BLOCK_A) * N + m) * N + n).reshape(-1)[valid]
-    D = np.exp(0.5 * (_LOG_FACT[jj] + _LOG_FACT[kk] - _LOG_FACT[jj + kk]))
-    D = np.broadcast_to(D, n.shape).reshape(-1)[valid]
-    # each state is one gather from source = [values, conj(values), 0]; the
-    # values index comes after the mirror's, so values hold on the main
-    # diagonals
-    V = valid.size
-    source = np.zeros(2 * V + 1, dtype=complex)
-    values, conj = source[:V], source[V:-1]
-    index = np.full(rho0.size, 2 * V)
-    index[mirror] = np.arange(V, 2 * V)
-    index[flat] = np.arange(V)
-    y = np.zeros((2, L, 2 * L), dtype=complex)
-    y.reshape(-1)[valid] = rho0.reshape(-1)[flat] / D
+    index, weights = _half_tables(N, L)
+    # y is the buffer but its last element, the zero slot; the diagonal of
+    # rho_01 is read from column 0 only, so its copy in column 1 stays zero
+    buf = np.zeros(4 * L * L + 1, dtype=complex)
+    y = buf[:-1].reshape(2, L, 2 * L)
+    live = index < y.size
+    D = weights[..., ::2]
+    buf[index[live]] = rho0[(0, 1, 0), (0, 1, 1)][live] / D[live]
     stepped = np.empty_like(y)
+    y0, y1 = y[0].view(float), y[1]
+    stepped0, stepped1 = stepped[0].view(float), stepped[1]
     for h in steps:
         if h > 0:
             prop0, prop1, phase = props[h]
-            np.matmul(prop0, y[0].view(float), out=stepped[0].view(float))
-            np.matmul(prop1, y[1], out=stepped[1])
+            np.matmul(prop0, y0, out=stepped0)
+            np.matmul(prop1, y1, out=stepped1)
             np.multiply(stepped, phase, out=y)
-        np.multiply(D, y.take(valid), out=values)
-        np.conjugate(values, out=conj)
-        yield source.take(index).reshape(rho0.shape)
+        half = buf.take(index)
+        parts = half.view(float)
+        parts *= weights
+        yield half
 
 
 def _branch_basis(alpha_plus, alpha_minus, nmax: int) -> np.ndarray:
@@ -268,27 +304,45 @@ def oracle_series(p: ModelParams, d: DerivedParams, t_start: float,
     linear entropy, photon number and trace error.  Only the concurrence
     projects each sample onto the two-branch basis of the closed-form
     amplitudes alpha_pm(t); the linear entropy is 1 - sum_ab |rho_ab|_F^2.
+
+    Each sample is read from its half-state H (`integrate`): the loop keeps
+    the projections Q_c = <basis_f| H_c |basis_g>, the populations (the
+    diagonals of H_0 and H_1) and sum |H|^2.  After it, the projection of
+    rho_aa is Q_a + Q_a^dagger - <basis_f| diag(pops_a) |basis_g>, that of
+    rho_10 is Q_2^dagger, and the purity is 2 sum |H|^2 - sum pops^2.
     """
     N = nmax + 1
     times, dt = np.linspace(t_start, t_end, steps, retstep=True)
     rho0 = initial_blocks(p.c0, p.c1, coherent_vector(p.alpha, nmax))
     snap = analytic.evolve(p, d, times)
     basis = _branch_basis(snap.alpha_plus, snap.alpha_minus, nmax)
-    # proj[i, a, b, f, g] = <basis_f| rho_ab |basis_g> at times[i]
-    proj = np.zeros((steps, 2, 2, 2, 2), dtype=complex)
     bra, ket = basis.conj(), basis.swapaxes(-1, -2).copy()
-    pops = np.zeros((steps, 2, N))
-    purity = np.zeros(steps)
-    for i, rho in enumerate(integrate(d.Omega_eff, p.kappa, rho0, t_start, dt,
-                                      steps)):
-        proj[i] = bra[i] @ (rho.reshape(-1, N) @ ket[i]).reshape(2, 2, N, 2)
-        pops[i] = np.einsum("aann->an", rho).real
-        purity[i] = np.vdot(rho, rho).real
+    # Q[i, c, f, g] = <basis_f| H_c |basis_g> at times[i], through cols
+    Q = np.empty((steps, 3, 2, 2), dtype=complex)
+    cols = np.empty((3, N, 2), dtype=complex)
+    stacked = cols.reshape(3 * N, 2)
+    diagonals = np.arange(2)[:, None] * N * N + np.arange(N) * (N + 1)
+    pops = np.empty((steps, 2, N), dtype=complex)
+    squares = np.empty(steps)
+    for i, half in enumerate(integrate(d.Omega_eff, p.kappa, rho0, t_start,
+                                       dt, steps)):
+        np.dot(half.reshape(3 * N, N), ket[i], out=stacked)
+        np.matmul(bra[i], cols, out=Q[i])
+        half.take(diagonals, out=pops[i], mode="clip")
+        squares[i] = np.vdot(half, half).real
+    pops = pops.real
+    # proj[i, a, b, f, g] = <basis_f| rho_ab |basis_g> at times[i]
+    proj = np.empty((steps, 2, 2, 2, 2), dtype=complex)
+    adjoint = Q.conj().swapaxes(-1, -2)
+    delta = (bra[:, None] * pops[..., None, :]) @ ket[:, None]
+    proj[:, (0, 1), (0, 1)] = Q[:, :2] + adjoint[:, :2] - delta
+    proj[:, 0, 1], proj[:, 1, 0] = Q[:, 2], adjoint[:, 2]
     rho4 = proj.transpose(0, 3, 1, 4, 2).reshape(-1, 4, 4)
     if not np.all(np.isfinite(rho4)):
         raise FloatingPointError("oracle state overflowed to non-finite values")
     nbar = np.sum(pops @ np.arange(float(N)), axis=-1)
     trace_err = np.abs(np.sum(pops, axis=(1, 2)) - 1.0)
+    purity = 2.0 * squares - np.sum(pops**2, axis=(1, 2))
     return (entanglement.wootters_concurrence(rho4),
             np.maximum(1.0 - purity, 0.0), nbar, trace_err)
 
@@ -367,7 +421,8 @@ def verify_disentangling(Omega: float, kappa: float, t: float,
     routes = np.stack([
         (prop @ X.reshape(*X.shape[:2], N * N, 1)).reshape(X.shape),
         apply_factorized(spec, X, np.eye(N), t),
-        [next(integrate(Omega, kappa, r, t, 0.0, 1))[A, B] for r in rho],
+        [_hermitian_blocks(next(integrate(Omega, kappa, r, t, 0.0, 1)))[A, B]
+         for r in rho],
     ])
     if not np.all(np.isfinite(routes)):
         raise FloatingPointError("disentangling routes are non-finite")

@@ -3,7 +3,7 @@
 import mpmath
 import numpy as np
 
-from drivenjc import entanglement, liouville
+from drivenjc import analytic, entanglement, liouville
 from drivenjc.analytic import TAU_DEGENERACY, AnalyticSnapshot
 
 
@@ -62,6 +62,35 @@ def project_two_qubit(rho, alpha_plus, alpha_minus, nmax) -> np.ndarray:
     down = resid / rnorm if rnorm**2 >= TAU_DEGENERACY else 0.0 * resid
     basis = np.array([up, down])
     return np.einsum("fn,abnm,gm->fagb", basis.conj(), rho, basis).reshape(4, 4)
+
+
+def oracle_series_full(p, d, t_start, t_end, steps, nmax):
+    """`liouville.oracle_series` read from each sample's full (2, 2, N, N)
+    state: the four blocks rebuilt from the half-state, projected onto the
+    two-branch basis as one (4N x N)(N x 2) product per sample, the
+    populations as their diagonals and the purity as sum |rho|^2."""
+    N = nmax + 1
+    times, dt = np.linspace(t_start, t_end, steps, retstep=True)
+    rho0 = liouville.initial_blocks(p.c0, p.c1,
+                                    liouville.coherent_vector(p.alpha, nmax))
+    snap = analytic.evolve(p, d, times)
+    basis = liouville._branch_basis(snap.alpha_plus, snap.alpha_minus, nmax)
+    # proj[i, a, b, f, g] = <basis_f| rho_ab |basis_g> at times[i]
+    proj = np.zeros((steps, 2, 2, 2, 2), dtype=complex)
+    bra, ket = basis.conj(), basis.swapaxes(-1, -2).copy()
+    pops = np.zeros((steps, 2, N))
+    purity = np.zeros(steps)
+    for i, half in enumerate(liouville.integrate(d.Omega_eff, p.kappa, rho0,
+                                                 t_start, dt, steps)):
+        rho = liouville._hermitian_blocks(half)
+        proj[i] = bra[i] @ (rho.reshape(-1, N) @ ket[i]).reshape(2, 2, N, 2)
+        pops[i] = np.einsum("aann->an", rho).real
+        purity[i] = np.vdot(rho, rho).real
+    rho4 = proj.transpose(0, 3, 1, 4, 2).reshape(-1, 4, 4)
+    nbar = np.sum(pops @ np.arange(float(N)), axis=-1)
+    trace_err = np.abs(np.sum(pops, axis=(1, 2)) - 1.0)
+    return (entanglement.wootters_concurrence(rho4),
+            np.maximum(1.0 - purity, 0.0), nbar, trace_err)
 
 
 def linear_entropy_general(rho: np.ndarray):

@@ -149,6 +149,25 @@ class TestStacks:
             assert abs(conc[idx] - wootters_concurrence(rho[idx])) < 1e-14
             assert abs(entr[idx] - linear_entropy_general(rho[idx])) < 1e-14
 
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 1)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf,
+                                       complex(np.nan, 0.0), complex(0.0, np.inf)])
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_non_finite_entries_rejected(self, entry, value, mirrored):
+        # a NaN fails no `x > tol` comparison; it must still be rejected,
+        # not reach the eigensolver or the SVD (LinAlgError)
+        rho = self.random_stack(np.random.default_rng(47), (3,))
+        rho[1][entry] = value
+        if mirrored:
+            rho[1][entry[::-1]] = np.conj(value)
+        # inf - inf in the Hermiticity gate is NaN, which fails it
+        with np.errstate(invalid="ignore"):
+            for matrices in (rho, rho[1]):
+                with pytest.raises(InvalidDensityMatrix):
+                    wootters_concurrence(matrices)
+                with pytest.raises(InvalidDensityMatrix):
+                    linear_entropy_general(matrices)
+
     @pytest.mark.parametrize("fault", ["trace", "hermitian", "negative"])
     def test_one_invalid_matrix_rejects_the_stack(self, fault):
         rng = np.random.default_rng(43)

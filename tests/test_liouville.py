@@ -11,8 +11,8 @@ from drivenjc import liouville as lv
 from drivenjc.entanglement import wootters_concurrence
 from drivenjc.model import NMAX_LIMIT, ModelParams, derive_params
 
-from _reference import (linear_entropy_general, make_rhs, project_two_qubit,
-                        two_qubit_density)
+from _reference import (linear_entropy_general, make_rhs, oracle_series_full,
+                        project_two_qubit, two_qubit_density)
 
 
 class TestCoherentVector:
@@ -171,8 +171,10 @@ def initial_state(alpha, nmax, c0=1 / math.sqrt(2), c1=1 / math.sqrt(2)):
 
 
 def states_at(Omega, rho0, kappa, t_start, dt, count):
-    """Field blocks at t_start + i dt for i < count (at least one)."""
-    return np.array(list(lv.integrate(Omega, kappa, rho0, t_start, dt, count)))
+    """Field blocks at t_start + i dt for i < count (at least one), rebuilt
+    from the half-states of `integrate`."""
+    halves = list(lv.integrate(Omega, kappa, rho0, t_start, dt, count))
+    return np.array([lv._hermitian_blocks(half) for half in halves])
 
 
 def state_at(Omega, rho0, kappa, t):
@@ -233,16 +235,26 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("empty_top", [0, 2])
     def test_states_are_hermitian(self, empty_top):
-        # every yielded state is its own conjugate mirror, bit for bit
+        # every rebuilt state is its own conjugate mirror, bit for bit, and
+        # each half-state is zero below the diagonal of rho_00 and rho_11
         N = 7
         rng = np.random.default_rng(31)
         m = rng.normal(size=(2 * N, 2 * N)) + 1j * rng.normal(size=(2 * N, 2 * N))
         rho0 = to_blocks(m + m.conj().T)
         rho0[..., N - empty_top:, :] = 0.0
         rho0[..., N - empty_top:] = 0.0
-        for rho in lv.integrate(rng.normal(), rng.uniform(0.05, 0.5),
-                                rho0, 0.3, 1.7, 4):
+        halves = list(lv.integrate(rng.normal(), rng.uniform(0.05, 0.5),
+                                   rho0, 0.3, 1.7, 4))
+        for half in halves:
+            assert half.shape == (3, N, N)
+            assert not np.any(np.tril(half[:2], -1))
+            rho = lv._hermitian_blocks(half)
             assert np.array_equal(rho, rho.conj().transpose(1, 0, 3, 2))
+        # each sample is a fresh array, so a list keeps distinct samples
+        for i, half in enumerate(halves):
+            for other in halves[i + 1:]:
+                assert not np.shares_memory(half, other)
+                assert not np.array_equal(half, other)
 
     def test_wide_diagonals_match_closed_form(self):
         # at nmax 120 the diagonals reach |n - m| = 120, where the weights
@@ -582,6 +594,28 @@ class TestTruncationConvergence:
         assert abs(results[0] - results[1]) < 1e-8
 
 
+#: kinds of seeded point on which the half-state readout is pinned
+READOUT_CASES = ["vacuum", "empty_top", "two_lengths", "repeated"]
+
+
+def readout_point(case, nmax, driven):
+    """(ModelParams, (t_start, t_end, steps)) of one seeded readout case,
+    drawn like the benchmark's oracle calls (|alpha| about 1 at nmax 20,
+    2.5 at nmax 37, drive 0.15-0.25 or none)."""
+    rng = np.random.default_rng([READOUT_CASES.index(case), nmax, driven])
+    drive = rng.uniform(0.15, 0.25) if driven else 0.0
+    size = rng.uniform(0.9, 1.1) if nmax == 20 else rng.uniform(2.4, 2.6)
+    size = {"vacuum": 0.0, "empty_top": {20: 1e-20, 37: 1e-15}[nmax]}.get(
+        case, size)
+    phi, theta = rng.uniform(0.0, 2.0 * math.pi, size=2)
+    p = ModelParams(omega=2.0, omega0=1.9, omega_c=drive, g=0.01, lam=drive,
+                    kappa=10.0 ** rng.uniform(-3.3, -2.7),
+                    alpha=size * cmath.exp(1j * phi), c0=math.cos(theta),
+                    c1=math.sin(theta) * cmath.exp(1j * phi))
+    grid = {"two_lengths": (30.0, 90.0, 9), "repeated": (40.0, 40.0, 4)}
+    return p, grid.get(case, (0.0, 60.0, 13))
+
+
 class TestOracleSeries:
     def test_matches_scalar_projection(self):
         # the batched basis, projection and Wootters against
@@ -620,6 +654,23 @@ class TestOracleSeries:
         assert np.any(skewed[0] != exact[0])
         for got, want in zip(skewed[1:], exact[1:]):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("driven", [False, True])
+    @pytest.mark.parametrize("nmax", [20, 37])
+    @pytest.mark.parametrize("case", READOUT_CASES)
+    def test_matches_full_state_readout(self, case, nmax, driven):
+        # the half-state readout against the full-state loop it replaced,
+        # on seeded points: |alpha| = 0 (support L = 1), an |alpha| whose
+        # amplitudes underflow to zero above level L - 1 < nmax, t_start > 0
+        # (two step lengths) and dt = 0 (repeated samples)
+        p, grid = readout_point(case, nmax, driven)
+        support = np.flatnonzero(lv.coherent_vector(p.alpha, nmax))[-1] + 1
+        assert support == {"vacuum": 1, "empty_top": {20: 16, 37: 21}[nmax]
+                           }.get(case, nmax + 1)
+        got = lv.oracle_series(p, derive_params(p), *grid, nmax)
+        want = oracle_series_full(p, derive_params(p), *grid, nmax)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
     def test_no_samples(self):
         p = ModelParams(omega=2.0, omega0=1.9, omega_c=0.0, g=0.01, lam=0.0,
