@@ -321,6 +321,8 @@ def oracle_series(p: ModelParams, d: DerivedParams, t_start: float,
     Q = np.empty((steps, 3, 2, 2), dtype=complex)
     cols = np.empty((3, N, 2), dtype=complex)
     stacked = cols.reshape(3 * N, 2)
+    # flat positions of the diagonals of H_0 and H_1, taken with mode "clip",
+    # which writes into pops directly where "raise" would buffer
     diagonals = np.arange(2)[:, None] * N * N + np.arange(N) * (N + 1)
     pops = np.empty((steps, 2, N), dtype=complex)
     squares = np.empty(steps)
