@@ -42,6 +42,16 @@ CASES = {
                           "--steps", "61"],
     "timeseries_oracle": ["timeseries", "--oracle", "--steps", "5",
                           "--t-end", "60"],
+    # the benchmark's large oracle call, N = 38
+    "timeseries_oracle_nmax37": ["timeseries", "--oracle", "--nmax", "37",
+                                 "--alpha-re", "2.5", "--lambda", "0.2",
+                                 "--omega-c", "0.2", "--steps", "120",
+                                 "--t-end", "60"],
+    # |alpha| = 1e-3: the coherent amplitudes underflow to exact zeros above
+    # n = 86, so the field's support, 87 levels, is below N = 121
+    "timeseries_oracle_short_support": ["timeseries", "--oracle",
+                                        "--alpha-re", "1e-3", "--nmax", "120",
+                                        "--steps", "5"],
     # lambda = 0 makes delta2 exactly 0 at omega = 1.9: NaN cells
     "sweep2d_degenerate": ["sweep2d", "--omega", "1.9",
                            "--axis1", "lambda:0:0.5", "--axis2", "kappa:0:5e-3",
