@@ -305,14 +305,18 @@ class TestIntegrate:
             states_at(0.0, rho0, 0.1, t_start, dt, 3)
 
     def test_rejects_support_above_nmax_limit(self):
-        # the shared log n! table reaches the largest accepted truncation;
-        # empty levels above it are fine
-        rho0 = np.zeros((2, 2, NMAX_LIMIT + 2, NMAX_LIMIT + 2), dtype=complex)
+        # integrate propagates every level of rho0, and the shared log n!
+        # table reaches the largest accepted truncation, level NMAX_LIMIT:
+        # one level more is refused, however few of them are filled
+        rho0 = np.zeros((2, 2, NMAX_LIMIT + 1, NMAX_LIMIT + 1), dtype=complex)
         rho0[0, 0, 0, 0] = 1.0
         assert states_at(0.0, rho0, 0.1, 1.0, 0.0, 1)[0, 0, 0, 0, 0] == 1.0
-        rho0[1, 1, -1, -1] = 1e-3
-        with pytest.raises(ValueError, match=f"level {NMAX_LIMIT + 1} > NMAX_LIMIT"):
-            states_at(0.0, rho0, 0.1, 1.0, 0.0, 1)
+        for N in (NMAX_LIMIT + 2, 1100):
+            rho0 = np.zeros((2, 2, N, N), dtype=complex)
+            rho0[0, 0, 0, 0] = 1.0
+            with pytest.raises(ValueError,
+                               match=f"level {N - 1} > NMAX_LIMIT = {NMAX_LIMIT}"):
+                states_at(0.0, rho0, 0.1, 1.0, 0.0, 1)
 
 
 def assert_matches_scipy(A):
@@ -671,6 +675,19 @@ class TestOracleSeries:
         want = oracle_series_full(p, derive_params(p), *grid, nmax)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("drive", [0.0, 0.2])
+    def test_empty_top_levels_are_trimmed(self, drive):
+        # |alpha| = 1e-3: the coherent amplitudes underflow to exact zeros
+        # above level 86, so nmax 120 runs on the same 87 levels as nmax 86
+        # and gives the same bits
+        p = ModelParams(omega=2.0, omega0=1.9, omega_c=drive, g=0.01,
+                        lam=drive, kappa=1e-3, alpha=1e-3)
+        assert np.flatnonzero(lv.coherent_vector(p.alpha, 120))[-1] == 86
+        d, grid = derive_params(p), (3.0, 300.0, 5)
+        for got, want in zip(lv.oracle_series(p, d, *grid, 120),
+                             lv.oracle_series(p, d, *grid, 86)):
+            np.testing.assert_array_equal(got, want)
 
     def test_no_samples(self):
         p = ModelParams(omega=2.0, omega0=1.9, omega_c=0.0, g=0.01, lam=0.0,
