@@ -89,12 +89,17 @@ _FIG_NOTES = {
 }
 
 
-def _number(name: str, kind: type, text: str):
+def _number(name: str, kind: type, text: str, where: str = ""):
     """Convert one option value, from a flag or a config file; floats must
-    be finite."""
-    value = kind(text)
+    be finite.  An error names the option, after `where` ("path:line: " of
+    a config file)."""
+    try:
+        value = kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where}{name} must be {what}, got {text!r}") from None
     if kind is float and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {text!r}")
+        raise ValueError(f"{where}{name} must be finite, got {text!r}")
     return value
 
 
@@ -111,7 +116,8 @@ def _read_config_file(path: str) -> dict:
             key = _key(key.strip())
             if key not in _SPEC:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _number(*_SPEC[key][:2], val.strip())
+            values[key] = _number(*_SPEC[key][:2], val.strip(),
+                                  f"{path}:{lineno}: ")
     return values
 
 

@@ -189,15 +189,39 @@ class TestConfigPrecedence:
         cfgfile.write_text("kappa = nan\n")
         assert main(["timeseries", "--config", str(cfgfile)]) == 2
 
+    @pytest.mark.parametrize("text, error", [
+        # blank and comment-only lines are skipped, but counted
+        ("\n  # a comment\nsteps = 1e3\n",
+         ":3: steps must be an integer, got '1e3'"),
+        ("omega = abc\n", ":1: omega must be a number, got 'abc'"),
+        ("kappa = nan\n", ":1: kappa must be finite, got 'nan'"),
+        ("kappa\n", ":1: expected key=value, got 'kappa\\n'"),
+    ])
+    def test_bad_line_names_its_place(self, text, error, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text)
+        assert main(["timeseries", "--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfgfile}{error}\n"
+
 
 #: the error text some invalid inputs must print: the dyad's truncation, not
-#: the user's --nmax
+#: the user's --nmax, and the option a malformed value was given for
 _ERROR_TEXT = {
     ("verify", "--alpha-re", "18.6", "--nmax", "500"):
         "error: |alpha| = 18.6: verify's dyad runs at default_nmax(alpha) = "
         "505 > NMAX_LIMIT = 500\n",
     ("fig1", "--g", "1e-320", "--grid", "2x2"):
         "error: t_eval defaults to 1/g, undefined at g = 1e-320\n",
+    ("params", "--nmax", "2.5"): "error: nmax must be an integer, got '2.5'\n",
+    ("params", "--omega", "abc"): "error: omega must be a number, got 'abc'\n",
+    ("sweep2d", "--axis1", "lambda:0", "--axis2", "kappa:0:1e-3"):
+        "error: axis must be name:min:max, got 'lambda:0'\n",
+    ("sweep2d", "--axis1", "lambda:0:1", "--axis2", "kappa:0:1e-3",
+     "--grid", "3"): "error: grid must be <n1>x<n2>, got '3'\n",
+    ("sweep2d", "--axis1", "lambda:0:1", "--axis2", "kappa:0:1e-3",
+     "--grid", "0x3"): "error: grid sizes must be >= 1\n",
 }
 
 
@@ -254,6 +278,15 @@ class TestInputContract:
         (["fig1", "--g", "1e-320", "--grid", "2x2"], 2),
         (["sweep2d", "--g", "5e-324", "--axis1", "lambda:0:1",
           "--axis2", "kappa:0:1e-3", "--grid", "2x2"], 2),
+        # a malformed value, named by its option
+        (["params", "--nmax", "2.5"], 2),
+        (["params", "--omega", "abc"], 2),
+        # a malformed axis or grid
+        (["sweep2d", "--axis1", "lambda:0", "--axis2", "kappa:0:1e-3"], 2),
+        (["sweep2d", "--axis1", "lambda:0:1", "--axis2", "kappa:0:1e-3",
+          "--grid", "3"], 2),
+        (["sweep2d", "--axis1", "lambda:0:1", "--axis2", "kappa:0:1e-3",
+          "--grid", "0x3"], 2),
     ])
     def test_exit_code_without_output(self, argv, code, capsys, tmp_path,
                                       monkeypatch):

@@ -115,6 +115,11 @@ class TestLinearEntropy:
         with pytest.raises(InvalidDensityMatrix):
             linear_entropy_general(np.eye(4))
 
+    @pytest.mark.parametrize("shape", [(4,), (4, 3), (2, 4, 3)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(InvalidDensityMatrix, match="expected square"):
+            linear_entropy_general(np.ones(shape) / 4)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 6), st.integers(0, 2**31 - 1))
     def test_range(self, dim, seed):

@@ -121,6 +121,15 @@ class TestModelParamsValidation:
         with pytest.raises(ValueError):
             params(c0=1.0, c1=1.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("omega", math.nan), ("kappa", math.inf),
+        ("alpha", complex(1.0, math.nan)), ("lam", np.array([0.1, math.nan]))])
+    def test_non_finite_value_rejected(self, name, value):
+        # the library's own check; the CLI rejects these earlier, as it
+        # reads each option
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            params(**{name: value})
+
 
 class TestDispersiveRatio:
     def test_vacuum(self):
