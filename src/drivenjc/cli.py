@@ -427,7 +427,7 @@ def _parse_grid(text: str):
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise ValueError(f"grid must be <n1>x<n2>, got {text!r}")
-    n1, n2 = int(parts[0]), int(parts[1])
+    n1, n2 = (_number("grid", int, part) for part in parts)
     if n1 < 1 or n2 < 1:
         raise ValueError("grid sizes must be >= 1")
     return n1, n2

@@ -184,21 +184,20 @@ def _half_tables(N: int):
 
 
 def _hermitian_blocks(half: np.ndarray) -> np.ndarray:
-    """The (2, 2, N, N) Hermitian field blocks of a (3, N, N) half-state of
-    `integrate`: rho_00 and rho_11 are completed by the adjoints of their
-    strict upper triangles, and rho_10 is the adjoint of rho_01."""
-    adjoint = half.conj().swapaxes(-1, -2)
-    pops = half[:2] + np.tril(adjoint[:2], -1)
-    return np.array([[pops[0], half[2]], [adjoint[2], pops[1]]])
+    """The (2, 2, N, N) Hermitian field blocks H + H^dagger of a (3, N, N)
+    half-state H of `integrate`, read as the blocks [[H_0, H_2], [0, H_1]]."""
+    blocks = np.zeros((2, 2, *half.shape[1:]), dtype=complex)
+    blocks[(0, 1, 0), (0, 1, 1)] = half
+    return blocks + blocks.conj().transpose(1, 0, 3, 2)
 
 
 def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,
               dt: float, count: int):
     """Yield the (3, N, N) half-states at t_start + i dt, for i < count.
 
-    A half-state holds the independent entries of the Hermitian state:
-    rho_00 and rho_11 on and above their main diagonals, zero below them,
-    and all of rho_01; `_hermitian_blocks` rebuilds the four blocks.
+    A half-state H holds rho_00 and rho_11 above their main diagonals, half
+    their populations on them and zero below them, and all of rho_01, so
+    that the four blocks are H + H^dagger (`_hermitian_blocks`).
     Omega is the dispersive shift, rho0 the (2, 2, N, N) block array at
     t = 0, which must be Hermitian (rho_ba = rho_ab^dagger); sample 0 steps
     from t = 0 by t_start >= 0, each later one by dt >= 0.
@@ -214,12 +213,13 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,
     is real and steps the float view of its diagonals as a real product, at
     half the flops of class 1's complex one; both step in place.  The flow
     keeps rho Hermitian, so only the diagonals k >= 0 of rho_00 and rho_11
-    and all of rho_01 are propagated, and each half-state is a fresh array:
-    one take from the propagated diagonals and a trailing zero slot, times
-    D (`_half_tables`).  All N levels are propagated, also empty top ones,
-    which photon loss keeps empty; a caller that knows them trims rho0
-    first, as `oracle_series` does.  N - 1 may be NMAX_LIMIT at most, else
-    ValueError.
+    and all of rho_01 are propagated, the main diagonals of rho_00 and
+    rho_11 halved on a copy of rho0 and so halved at every step.  Each
+    half-state is a fresh array: one take from the propagated diagonals and
+    a trailing zero slot, times D (`_half_tables`).  All N levels are
+    propagated, also empty top ones, which photon loss keeps empty; a
+    caller that knows them trims rho0 first, as `oracle_series` does.
+    N - 1 may be NMAX_LIMIT at most, else ValueError.
     """
     if t_start < 0 or dt < 0:
         raise ValueError(f"t_start and dt must be >= 0, got {t_start}, {dt}")
@@ -256,7 +256,9 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,
     # column 1 stays zero
     buf = np.zeros(4 * N * N + 1, dtype=complex)
     y = buf[:-1].reshape(2, N, 2 * N)
-    buf[index] = rho0[(0, 1, 0), (0, 1, 1)] / weights[..., ::2]
+    half = rho0[(0, 1, 0), (0, 1, 1)]
+    half[:2, j, j] *= 0.5
+    buf[index] = half / weights[..., ::2]
     buf[-1] = 0.0
     stepped = np.empty_like(y)
     y0, y1 = y[0].view(float), y[1]
@@ -276,8 +278,7 @@ def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,
 def _branch_basis(alpha_plus, alpha_minus, nmax: int) -> np.ndarray:
     """(..., 2, N) two-branch field basis: |alpha_plus> and the Gram-Schmidt
     complement of |alpha_minus>, zero where the two branches coincide."""
-    up = coherent_vector(alpha_plus, nmax)
-    vm = coherent_vector(alpha_minus, nmax)
+    up, vm = coherent_vector(np.stack([alpha_plus, alpha_minus]), nmax)
     up = up / np.linalg.norm(up, axis=-1, keepdims=True)
     tau = np.sum(up.conj() * vm, axis=-1, keepdims=True)
     resid = vm - tau * up
@@ -298,11 +299,11 @@ def oracle_series(p: ModelParams, d: DerivedParams, t_start: float,
     projects each sample onto the two-branch basis of the closed-form
     amplitudes alpha_pm(t); the linear entropy is 1 - sum_ab |rho_ab|_F^2.
 
-    Each sample is read from its half-state H (`integrate`): the loop keeps
-    the projections Q_c = <basis_f| H_c |basis_g>, the populations (the
-    diagonals of H_0 and H_1) and sum |H|^2.  After it, the projection of
-    rho_aa is Q_a + Q_a^dagger - <basis_f| diag(pops_a) |basis_g>, that of
-    rho_10 is Q_2^dagger, and the purity is 2 sum |H|^2 - sum pops^2.
+    Each sample is read from its half-state H, rho = H + H^dagger
+    (`integrate`): the loop keeps Q_c = <basis_f| H_c |basis_g>, the
+    diagonals of H_0 and H_1 (half the populations) and sum |H|^2; the
+    two-qubit state is P + P^dagger, with Q_0, Q_1, Q_2 in P's (0, 0),
+    (1, 1), (0, 1) blocks, and the purity 2 sum |H|^2 + sum pops^2 / 2.
 
     The state is propagated and read on the support of the coherent field,
     its levels 0..N - 1 up to the last nonzero amplitude: the levels above,
@@ -331,19 +332,17 @@ def oracle_series(p: ModelParams, d: DerivedParams, t_start: float,
         np.matmul(bra[i], cols, out=Q[i])
         half.take(diagonals, out=pops[i], mode="clip")
         squares[i] = np.vdot(half, half).real
-    pops = pops.real
-    # proj[i, a, b, f, g] = <basis_f| rho_ab |basis_g> at times[i]
-    proj = np.empty((steps, 2, 2, 2, 2), dtype=complex)
-    adjoint = Q.conj().swapaxes(-1, -2)
-    delta = (bra[:, None] * pops[..., None, :]) @ ket[:, None]
-    proj[:, (0, 1), (0, 1)] = Q[:, :2] + adjoint[:, :2] - delta
-    proj[:, 0, 1], proj[:, 1, 0] = Q[:, 2], adjoint[:, 2]
-    rho4 = proj.transpose(0, 3, 1, 4, 2).reshape(-1, 4, 4)
+    pops = 2.0 * pops.real
+    # P[i, a, b, f, g] = <basis_f| H_ab |basis_g> at times[i]
+    P = np.zeros((steps, 2, 2, 2, 2), dtype=complex)
+    P[:, (0, 1, 0), (0, 1, 1)] = Q
+    P = P.transpose(0, 3, 1, 4, 2).reshape(-1, 4, 4)
+    rho4 = P + P.conj().swapaxes(-1, -2)
     if not np.all(np.isfinite(rho4)):
         raise FloatingPointError("oracle state overflowed to non-finite values")
     nbar = np.sum(pops @ np.arange(float(N)), axis=-1)
     trace_err = np.abs(np.sum(pops, axis=(1, 2)) - 1.0)
-    purity = 2.0 * squares - np.sum(pops**2, axis=(1, 2))
+    purity = 2.0 * squares + 0.5 * np.sum(pops**2, axis=(1, 2))
     return (entanglement.wootters_concurrence(rho4),
             np.maximum(1.0 - purity, 0.0), nbar, trace_err)
 

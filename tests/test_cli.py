@@ -222,6 +222,9 @@ _ERROR_TEXT = {
      "--grid", "3"): "error: grid must be <n1>x<n2>, got '3'\n",
     ("sweep2d", "--axis1", "lambda:0:1", "--axis2", "kappa:0:1e-3",
      "--grid", "0x3"): "error: grid sizes must be >= 1\n",
+    ("sweep2d", "--axis1", "lambda:0:1", "--axis2", "kappa:0:1e-3",
+     "--grid", "3.5x2"): "error: grid must be an integer, got '3.5'\n",
+    ("fig1", "--grid", "2xabc"): "error: grid must be an integer, got 'abc'\n",
 }
 
 
@@ -287,6 +290,10 @@ class TestInputContract:
           "--grid", "3"], 2),
         (["sweep2d", "--axis1", "lambda:0:1", "--axis2", "kappa:0:1e-3",
           "--grid", "0x3"], 2),
+        # a grid size that is not an integer, named by its option
+        (["sweep2d", "--axis1", "lambda:0:1", "--axis2", "kappa:0:1e-3",
+          "--grid", "3.5x2"], 2),
+        (["fig1", "--grid", "2xabc"], 2),
     ])
     def test_exit_code_without_output(self, argv, code, capsys, tmp_path,
                                       monkeypatch):

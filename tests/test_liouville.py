@@ -256,6 +256,29 @@ class TestIntegrate:
                 assert not np.shares_memory(half, other)
                 assert not np.array_equal(half, other)
 
+    @pytest.mark.parametrize("state", ["random", "product"])
+    def test_half_state_carries_half_the_populations(self, state):
+        # rho = H + H^dagger: each half-state carries half the populations
+        # of rho_00 and rho_11 on its diagonals, a zero step gives rho0 back,
+        # and integrate leaves the caller's rho0 as it was
+        if state == "random":
+            rng = np.random.default_rng(37)
+            m = rng.normal(size=(14, 14)) + 1j * rng.normal(size=(14, 14))
+            rho0 = to_blocks(m + m.conj().T)   # N = 7
+        else:
+            rho0 = initial_state(1.3 - 0.4j, 20, 0.6, 0.8)
+        kept = rho0.copy()
+        half, = lv.integrate(0.7, 0.1, rho0, 0.0, 0.0, 1)
+        gap = np.max(np.abs(lv._hermitian_blocks(half) - rho0))
+        assert gap <= 1e-15 * np.max(np.abs(rho0))
+        for half in lv.integrate(0.7, 0.1, rho0, 0.3, 1.7, 4):
+            rho = lv._hermitian_blocks(half)
+            for a in range(2):
+                pops = np.diagonal(rho[a, a]).real
+                np.testing.assert_array_equal(np.diagonal(half[a]).real,
+                                              0.5 * pops)
+        np.testing.assert_array_equal(rho0, kept)
+
     def test_wide_diagonals_match_closed_form(self):
         # at nmax 120 the diagonals reach |n - m| = 120, where the weights
         # sqrt(C(j + |k|, j)) that relate each diagonal to the main one span
