@@ -185,9 +185,10 @@ def _require_finite(values, degenerate=False):
     return values
 
 
-#: a CSV cell's text as six little-endian words: sign and "0.000" prefix;
-#: digits 0-15 each followed by a gap byte that may hold the point; digit 16,
-#: its gap, "e+XXX" and the separator.  Zero bytes are dropped on output.
+#: a CSV cell's text as six little-endian words, each slot but digit 16 and
+#: the separator looked up in a table of `_cell_tables`: sign and "0.000"
+#: prefix; digits 0-15 each followed by a gap byte that may hold the point;
+#: digit 16, its gap, "e+XXX" and the separator.  Zero bytes are dropped.
 _WORD = np.dtype("<u8")
 #: Dekker's splitter 2^27 + 1: x = head + tail exactly, each of 26 bits
 _SPLITTER = 134217729.0
@@ -199,7 +200,8 @@ _CELL_E = 282
 
 @functools.cache
 def _cell_tables():
-    """Lookup tables of `_cells`, built exactly on first use."""
+    """Lookup tables of `_cells`, built exactly on first use: 10^(16 - E),
+    4-digit groups, kept-digit and point masks, prefix and exponent words."""
     # 10^k = hi + lo as a pair of doubles, k = 16 - E for |E| <= _CELL_E,
     # at index _CELL_E - E
     hi, lo = [], []
@@ -211,17 +213,18 @@ def _cell_tables():
     hi = np.array(hi)
     scaled = hi * _SPLITTER
     head = scaled - (scaled - hi)
-    # each 4-digit group as digit bytes with empty gaps, and its number of
-    # digits up to the last nonzero one (-99 if none), offset by position
+    # each 4-digit group g as digit bytes with empty gaps, and at 10000 j + g
+    # its number of digits up to the last nonzero one (-99 if none) plus 4 j
     group = np.arange(10000)
     pairs = np.zeros((10000, 8), np.uint8)
     pairs[:, ::2] = 48 + group[:, None] // [1000, 100, 10, 1] % 10
     sig = np.where(group, 4 - sum(group % 10 ** j == 0 for j in (1, 2, 3)),
-                   -99)
-    # words 1-5 of a cell that keeps its first k digits, k = 0..17
-    keep = np.full((18, 40), 255, np.uint8)
-    for k in range(18):
-        keep[k, 2 * k:34:2] = 0
+                   -99) + 4 * np.arange(4)[:, None]
+    # words 1-5 of a cell that keeps its first k digits, k = 0..17, and
+    # words 1-4 with the point in the gap after digit k - 1 (none at 0, 17)
+    k, byte = np.arange(18)[:, None], np.arange(40)
+    keep = np.where((byte % 2 == 0) & (byte >= 2 * k) & (byte < 34), 0, 255)
+    point = np.where(byte[:32] == 2 * k - 1, ord("."), 0)
     # word 0: the sign, and "0." and zeros for -4 <= E < 0, at index
     # 5 sign - E; word 5: "e+XX" after digit 16 and its gap, at index
     # E + _CELL_E + 1, and no exponent at index 0
@@ -233,8 +236,9 @@ def _cell_tables():
     words = [np.frombuffer(b"".join(s.ljust(8, b"\0") for s in strings),
                            _WORD) for strings in (prefix, exponent)]
     tables = (hi, head, hi - head, np.array(lo), pairs.view(_WORD)[:, 0],
-              sig + 4 * np.arange(4)[:, None], keep.view(_WORD).T.copy(),
-              *words)
+              sig.astype(np.int8).ravel(),
+              *[w.astype(np.uint8).view(_WORD).T.copy()
+                for w in (keep, point)], *words)
     for table in tables:   # shared by every call
         table.setflags(write=False)
     return tables
@@ -248,12 +252,13 @@ def _cells(x):
     D = rint(|v| 10^(16 - E)): Dekker's TwoProduct of |v| with the leading
     double of a double-double 10^(16 - E) is exact, and |v| times its trailing
     double is added, so the fraction of |v| 10^(16 - E) is known to about
-    2^-47.  The `%g` text follows from D and E.  The cells this cannot
-    decide go through `%`: a fraction within 1e-9 of 1/2, a D outside
-    [10^16, 10^17) (log10 put E in the wrong decade, or D carried to 10^17),
-    nan, inf and |v| outside that range.
+    2^-47.  Lookups make the `%g` text of D and E: its 4-digit groups,
+    kept-digit mask, point, prefix and exponent.  The cells this cannot decide
+    go through `%`: a fraction within 1e-9 of 1/2, a D outside [10^16, 10^17)
+    (log10 put E in the wrong decade, or D carried to 10^17), nan, inf and |v|
+    outside that range.
     """
-    hi, head, tail, lo, pairs, sig, keep_mask, prefix, exponent = \
+    hi, head, tail, lo, pairs, sig, keep_mask, point_mask, prefix, exponent = \
         _cell_tables()
     n = len(x)
     ax = np.abs(x)
@@ -276,28 +281,24 @@ def _cells(x):
     slow = ~zero & (~ok | (np.abs(frac - 0.5) < 1e-9) | (whole < 10 ** 16)
                     | (d >= 10 ** 17))
     d[zero | slow] = 0
-    e[zero] = 0
     # D as four 4-digit groups and a last digit
-    rest = d // 10
-    last = d - 10 * rest
-    top = rest // 10 ** 8
-    low = rest - 10 ** 8 * top
-    top_hi, low_hi = top // 10000, low // 10000
-    groups = [top_hi, top - 10000 * top_hi, low_hi, low - 10000 * low_hi]
+    groups = np.empty((4, n), np.int64)
+    rest, last = np.divmod(d, 10)
+    top, low = np.divmod(rest, 10 ** 8)
+    np.divmod(top, 10000, out=tuple(groups[:2]))
+    np.divmod(low, 10000, out=tuple(groups[2:]))
     fixed = (e >= -4) & (e < 17)
     # m digits stand before the point; trailing zeros after it are dropped
     m = np.where(fixed, np.maximum(e + 1, 0), 1)
-    keep = np.maximum.reduce([s.take(g) for s, g in zip(sig, groups)]
-                             + [17 * (last > 0), m])
+    keep = np.maximum(sig.take(groups + 10000 * np.arange(4)[:, None]).max(0),
+                      np.where(last > 0, 17, m))
     words = np.empty((6, n), _WORD)
     words[0] = prefix.take(5 * np.signbit(x) + np.where(fixed & (e < 0), -e, 0))
-    for j, g in enumerate(groups):
-        words[1 + j] = pairs.take(g) & keep_mask[j].take(keep)
-    words[5] = (((48 + last.astype(np.uint64)) & keep_mask[4].take(keep))
-                | exponent.take(np.where(fixed, 0, e + _CELL_E + 1)))
-    point = np.flatnonzero((keep > m) & (m > 0))
-    at = 2 * m[point] + 7
-    words.view(np.uint8)[at // 8, 8 * point + at % 8] = ord(".")
+    words[1:5] = pairs.take(groups)
+    words[5] = 48 + last
+    words[1:] &= keep_mask.take(keep, axis=1)
+    words[1:5] |= point_mask.take(np.where(keep > m, m, 0), axis=1)
+    words[5] |= exponent.take(np.where(fixed, 0, e + _CELL_E + 1))
     if slow.any():
         text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype="S48")
         words[:, slow] = np.frombuffer(text.tobytes(), _WORD).reshape(-1, 6).T

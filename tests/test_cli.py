@@ -814,6 +814,19 @@ def _powers_of_ten():
     return np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
 
 
+def _points():
+    """Exact values of both signs whose `%.17g` puts the point after each of
+    1..16 leading digits: N + 2^-j with N of m digits, kept to m + j <= 17
+    digits (2^-j has j decimals), N itself, and c 2^-j in [1e-4, 1), which
+    print as 0.xxx to 0.000xxx."""
+    ints = [int("1928374650192837"[:m]) for m in range(1, 17)]
+    values = ints + [n + 2.0 ** -j for n in ints
+                     for j in range(1, 18 - len(str(n))) if n << j < 2 ** 53]
+    values += [v for v in (c * 2.0 ** -j for c in (1, 3, 5, 7)
+                           for j in range(1, 20)) if 1e-4 <= v < 1]
+    return np.array(values + [-v for v in values])
+
+
 class TestCells:
     """`cli._cells` against `'%.17g'`: its arithmetic gives the digits of
     most cells, and `%` those it cannot decide."""
@@ -832,7 +845,9 @@ class TestCells:
         [s * np.nextafter(v, w) for s in (1.0, -1.0) for v in (1e-280, 1e280)
          for w in (0.0, v, np.inf)],
         [0.0, -0.0],
-    ], ids=["ties", "powers_of_ten", "integers", "range_ends", "zeros"])
+        _points(),
+    ], ids=["ties", "powers_of_ten", "integers", "range_ends", "zeros",
+            "points"])
     def test_deterministic_values(self, values):
         assert cell_mismatches(values) == []
 
