@@ -184,11 +184,14 @@ def _half_tables(N: int):
 
 
 def _hermitian_blocks(half: np.ndarray) -> np.ndarray:
-    """The (2, 2, N, N) Hermitian field blocks H + H^dagger of a (3, N, N)
-    half-state H of `integrate`, read as the blocks [[H_0, H_2], [0, H_1]]."""
-    blocks = np.zeros((2, 2, *half.shape[1:]), dtype=complex)
-    blocks[(0, 1, 0), (0, 1, 1)] = half
-    return blocks + blocks.conj().transpose(1, 0, 3, 2)
+    """The (..., 2, 2, n, n) Hermitian blocks H + H^dagger of (..., 3, n, n)
+    half-states H, each read as the blocks [[H_0, H_2], [0, H_1]]: the
+    field blocks of a half-state of `integrate`, or the two-qubit state of
+    its projection onto a two-branch basis (`oracle_series`)."""
+    lead = half.shape[:-3]
+    blocks = np.zeros((*lead, 2, 2, *half.shape[-2:]), dtype=complex)
+    blocks[..., (0, 1, 0), (0, 1, 1), :, :] = half
+    return blocks + blocks.conj().swapaxes(-4, -3).swapaxes(-2, -1)
 
 
 def integrate(Omega: float, kappa: float, rho0: np.ndarray, t_start: float,
@@ -301,9 +304,9 @@ def oracle_series(p: ModelParams, d: DerivedParams, t_start: float,
 
     Each sample is read from its half-state H, rho = H + H^dagger
     (`integrate`): the loop keeps Q_c = <basis_f| H_c |basis_g>, the
-    diagonals of H_0 and H_1 (half the populations) and sum |H|^2; the
-    two-qubit state is P + P^dagger, with Q_0, Q_1, Q_2 in P's (0, 0),
-    (1, 1), (0, 1) blocks, and the purity 2 sum |H|^2 + sum pops^2 / 2.
+    diagonal views of H_0 and H_1 (half the populations) and sum |H|^2;
+    the two-qubit states are the Hermitian blocks of Q (`_hermitian_blocks`),
+    and the purity 2 sum |H|^2 + sum pops^2 / 2.
 
     The state is propagated and read on the support of the coherent field,
     its levels 0..N - 1 up to the last nonzero amplitude: the levels above,
@@ -321,23 +324,17 @@ def oracle_series(p: ModelParams, d: DerivedParams, t_start: float,
     Q = np.empty((steps, 3, 2, 2), dtype=complex)
     cols = np.empty((3, N, 2), dtype=complex)
     stacked = cols.reshape(3 * N, 2)
-    # flat positions of the diagonals of H_0 and H_1, taken with mode "clip",
-    # which writes into pops directly where "raise" would buffer
-    diagonals = np.arange(2)[:, None] * N * N + np.arange(N) * (N + 1)
     pops = np.empty((steps, 2, N), dtype=complex)
     squares = np.empty(steps)
     for i, half in enumerate(integrate(d.Omega_eff, p.kappa, rho0, t_start,
                                        dt, steps)):
         np.dot(half.reshape(3 * N, N), ket[i], out=stacked)
         np.matmul(bra[i], cols, out=Q[i])
-        half.take(diagonals, out=pops[i], mode="clip")
+        pops[i] = half[:2].diagonal(0, 1, 2)
         squares[i] = np.vdot(half, half).real
     pops = 2.0 * pops.real
-    # P[i, a, b, f, g] = <basis_f| H_ab |basis_g> at times[i]
-    P = np.zeros((steps, 2, 2, 2, 2), dtype=complex)
-    P[:, (0, 1, 0), (0, 1, 1)] = Q
-    P = P.transpose(0, 3, 1, 4, 2).reshape(-1, 4, 4)
-    rho4 = P + P.conj().swapaxes(-1, -2)
+    # rho4[i] is the (f a, g b) matrix of <basis_f| rho_ab |basis_g>
+    rho4 = _hermitian_blocks(Q).transpose(0, 3, 1, 4, 2).reshape(-1, 4, 4)
     if not np.all(np.isfinite(rho4)):
         raise FloatingPointError("oracle state overflowed to non-finite values")
     nbar = np.sum(pops @ np.arange(float(N)), axis=-1)
@@ -421,8 +418,8 @@ def verify_disentangling(Omega: float, kappa: float, t: float,
     routes = np.stack([
         (prop @ X.reshape(*X.shape[:2], N * N, 1)).reshape(X.shape),
         apply_factorized(spec, X, np.eye(N), t),
-        [_hermitian_blocks(next(integrate(Omega, kappa, r, t, 0.0, 1)))[A, B]
-         for r in rho],
+        _hermitian_blocks(np.stack([next(integrate(Omega, kappa, r, t, 0.0, 1))
+                                    for r in rho]))[:, A, B],
     ])
     if not np.all(np.isfinite(routes)):
         raise FloatingPointError("disentangling routes are non-finite")

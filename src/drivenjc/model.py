@@ -59,7 +59,7 @@ class ModelParams:
                 raise ValueError(f"{what} {name} must be >= 0, got {np.min(value)}")
         norm = np.abs(self.c0) ** 2 + np.abs(self.c1) ** 2
         if np.any(np.abs(norm - 1.0) > 1e-12):
-            raise ValueError(f"|c0|^2 + |c1|^2 must be 1, got {norm!r}")
+            raise ValueError(f"|c0|^2 + |c1|^2 must be 1, got {norm}")
 
 
 @dataclass(frozen=True)

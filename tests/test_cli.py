@@ -225,6 +225,8 @@ _ERROR_TEXT = {
     ("sweep2d", "--axis1", "lambda:0:1", "--axis2", "kappa:0:1e-3",
      "--grid", "3.5x2"): "error: grid must be an integer, got '3.5'\n",
     ("fig1", "--grid", "2xabc"): "error: grid must be an integer, got 'abc'\n",
+    ("timeseries", "--c0-re", "2"):
+        "error: |c0|^2 + |c1|^2 must be 1, got 4.5\n",
 }
 
 
@@ -294,6 +296,8 @@ class TestInputContract:
         (["sweep2d", "--axis1", "lambda:0:1", "--axis2", "kappa:0:1e-3",
           "--grid", "3.5x2"], 2),
         (["fig1", "--grid", "2xabc"], 2),
+        # an unnormalised atom, its norm printed as a plain number
+        (["timeseries", "--c0-re", "2"], 2),
     ])
     def test_exit_code_without_output(self, argv, code, capsys, tmp_path,
                                       monkeypatch):

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from drivenjc import analytic as an
 from drivenjc import liouville as lv
+from drivenjc.cli import main
 from drivenjc.entanglement import wootters_concurrence
 from drivenjc.model import NMAX_LIMIT, ModelParams, derive_params
 
@@ -180,6 +181,30 @@ def states_at(Omega, rho0, kappa, t_start, dt, count):
 def state_at(Omega, rho0, kappa, t):
     """Field blocks at time t, propagated from rho0 at t = 0."""
     return states_at(Omega, rho0, kappa, t, 0.0, 1)[0]
+
+
+class TestHermitianBlocks:
+    def test_stacked_halves_match_each_half(self):
+        # leading axes complete each half-state on its own, bit for bit
+        rng = np.random.default_rng(41)
+        halves = rng.normal(size=(4, 3, 5, 5)) + 1j * rng.normal(size=(4, 3, 5, 5))
+        got = lv._hermitian_blocks(halves)
+        assert got.shape == (4, 2, 2, 5, 5)
+        for g, half in zip(got, halves):
+            np.testing.assert_array_equal(g, lv._hermitian_blocks(half))
+
+    def test_projected_halves_give_the_two_qubit_state(self):
+        # Q[i, c, f, g] = <basis_f| H_c |basis_g>: its blocks, read as the
+        # (f a, g b) matrix, are P + P^dagger with Q_0, Q_1, Q_2 in the
+        # (0, 0), (1, 1), (0, 1) blocks of P
+        rng = np.random.default_rng(43)
+        Q = rng.normal(size=(6, 3, 2, 2)) + 1j * rng.normal(size=(6, 3, 2, 2))
+        P = np.zeros((6, 2, 2, 2, 2), dtype=complex)
+        P[:, (0, 1, 0), (0, 1, 1)] = Q
+        P = P.transpose(0, 3, 1, 4, 2).reshape(-1, 4, 4)
+        want = P + P.conj().swapaxes(-1, -2)
+        got = lv._hermitian_blocks(Q).transpose(0, 3, 1, 4, 2).reshape(-1, 4, 4)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestIntegrate:
@@ -717,6 +742,14 @@ class TestOracleSeries:
                         kappa=1e-3, alpha=1.0)
         out = lv.oracle_series(p, derive_params(p), 0.0, 300.0, 0, 20)
         assert [x.shape for x in out] == [(0,)] * 4
+
+    @pytest.mark.parametrize("c0, c1", [("0", "1"), ("1", "0")])
+    def test_verify_passes_in_one_dressed_state(self, c0, c1, capsys):
+        # an atom in one dressed state: rho_01 and one population block are
+        # zero, and the completed two-qubit state is a product
+        assert main(["verify", "--c0-re", c0, "--c1-re", c1]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 7 and "FAIL" not in out
 
     def test_concurrence_under_strong_decay(self):
         # strong decay, kappa t up to 15: the concurrence holds verify's gate

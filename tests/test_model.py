@@ -118,7 +118,7 @@ class TestModelParamsValidation:
             params(kappa=-0.1)
 
     def test_unnormalized_amplitudes_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"got 2\.0$"):
             params(c0=1.0, c1=1.0)
 
     @pytest.mark.parametrize("name, value", [
