@@ -105,8 +105,12 @@ def _number(name: str, kind: type, text: str, where: str = ""):
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
+            try:    # an undecodable byte was escaped; decoding again names it
+                raw.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -122,15 +126,22 @@ def _read_config_file(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> dict:
-    """Option key -> value, from flags, then the config file, then defaults."""
+    """Option key -> value, from flags, then the config file, then defaults.
+
+    Every command checks every shared option here, also one it does not
+    read: an explicit nmax, then the time grid, then the sample count."""
     file_values = _read_config_file(args.config) if args.config else {}
     cfg = {}
     for key, (name, kind, default, _, _) in _SPEC.items():
         flag = getattr(args, key)
         cfg[key] = (_number(name, kind, flag) if flag is not None
                     else file_values.get(key, default))
-    if cfg["nmax"] is not None:     # every command, also where no oracle runs
+    if cfg["nmax"] is not None:     # also where no oracle runs
         model.check_nmax(cfg["nmax"])
+    if not 0 <= cfg["t_start"] <= cfg["t_end"]:
+        raise ValueError("time grid needs 0 <= t_start <= t_end")
+    if cfg["steps"] < 2:
+        raise ValueError("steps must be >= 2")
     return cfg
 
 
@@ -150,19 +161,6 @@ def _default_t_eval(cfg: dict) -> float:
         raise ValueError("t_eval defaults to 1/g, undefined at g = "
                          f"{abs(cfg['g']):.3g}")
     return 1.0 / cfg["g"]
-
-
-def _steps(cfg: dict) -> int:
-    if cfg["steps"] < 2:
-        raise ValueError("steps must be >= 2")
-    return cfg["steps"]
-
-
-def _time_range(cfg: dict) -> tuple[float, float]:
-    """(t_start, t_end) of a forward time grid from t = 0."""
-    if not 0 <= cfg["t_start"] <= cfg["t_end"]:
-        raise ValueError("time grid needs 0 <= t_start <= t_end")
-    return cfg["t_start"], cfg["t_end"]
 
 
 def _fmt(x) -> str:
@@ -456,7 +454,7 @@ def cmd_timeseries(args) -> int:
     cfg = build_config(args)
     p = model_params(cfg)
     d = model.derive_params(p)
-    grid = *_time_range(cfg), _steps(cfg)
+    grid = cfg["t_start"], cfg["t_end"], cfg["steps"]
     times = np.linspace(*grid)
     columns = {"t": times, **_observables(p, d, times)}
     extra = {}
@@ -496,7 +494,7 @@ def cmd_fig(args) -> int:
     cfg = build_config(args)
     for name, axes, observable, columns in FIGURES[args.command]:
         if axes[0][0] == "t":
-            counts, t_eval, extra = [_steps(cfg)], None, {}
+            counts, t_eval, extra = [cfg["steps"]], None, {}
         else:
             counts, t_eval = _parse_grid(args.grid), _default_t_eval(cfg)
             extra = dict(grid="{}x{}".format(*counts), t_eval=t_eval)
@@ -521,7 +519,7 @@ def cmd_verify(args) -> int:
     p = model_params(cfg)
     d = model.derive_params(p)
     _require_finite(d.Omega_eff)
-    grid = *_time_range(cfg), 16
+    grid = cfg["t_start"], cfg["t_end"], 16
     # exit 2 before any verdict; stage 1's dyad runs at the default truncation
     domain = model.domain(p, d, max(grid[1], *DISENTANGLING_TIMES))
     for record in (domain["truncation"], domain["phase"]):

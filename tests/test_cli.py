@@ -205,6 +205,22 @@ class TestConfigPrecedence:
         assert captured.out == ""
         assert captured.err == f"error: {cfgfile}{error}\n"
 
+    @pytest.mark.parametrize("data, place", [
+        (b"\xff\n", ":1: "),
+        # the line of the byte, though the file is decoded in larger chunks
+        (b"omega = 2\n\nkappa = 1e-3  # caf\xc3\xa9\ng = \xe9\n", ":4: "),
+    ], ids=["line1", "line4"])
+    def test_bytes_not_utf8_name_their_place(self, data, place, tmp_path,
+                                             capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_bytes(data)
+        assert main(["params", "--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cfgfile}{place}")
+        assert re.fullmatch(r"error: [^\n]+can't decode byte[^\n]+\n",
+                            captured.err)
+
 
 #: the error text some invalid inputs must print: the dyad's truncation, not
 #: the user's --nmax, and the option a malformed value was given for
@@ -227,6 +243,17 @@ _ERROR_TEXT = {
     ("fig1", "--grid", "2xabc"): "error: grid must be an integer, got 'abc'\n",
     ("timeseries", "--c0-re", "2"):
         "error: |c0|^2 + |c1|^2 must be 1, got 4.5\n",
+    ("params", "--steps", "1"): "error: steps must be >= 2\n",
+    ("params", "--t-start", "5", "--t-end", "1"):
+        "error: time grid needs 0 <= t_start <= t_end\n",
+    ("verify", "--steps", "1"): "error: steps must be >= 2\n",
+    ("sweep2d", "--axis1", "lambda:0:1", "--axis2", "kappa:0:1e-3",
+     "--grid", "3x2", "--t-start", "5", "--t-end", "1"):
+        "error: time grid needs 0 <= t_start <= t_end\n",
+    ("fig1", "--grid", "3x2", "--steps", "1", "--output", "d"):
+        "error: steps must be >= 2\n",
+    ("fig3", "--t-start", "-1", "--output", "d"):
+        "error: time grid needs 0 <= t_start <= t_end\n",
 }
 
 
@@ -298,6 +325,14 @@ class TestInputContract:
         (["fig1", "--grid", "2xabc"], 2),
         # an unnormalised atom, its norm printed as a plain number
         (["timeseries", "--c0-re", "2"], 2),
+        # every command checks every shared option, also one it does not read
+        (["params", "--steps", "1"], 2),
+        (["params", "--t-start", "5", "--t-end", "1"], 2),
+        (["verify", "--steps", "1"], 2),
+        (["sweep2d", "--axis1", "lambda:0:1", "--axis2", "kappa:0:1e-3",
+          "--grid", "3x2", "--t-start", "5", "--t-end", "1"], 2),
+        (["fig1", "--grid", "3x2", "--steps", "1", "--output", "d"], 2),
+        (["fig3", "--t-start", "-1", "--output", "d"], 2),
     ])
     def test_exit_code_without_output(self, argv, code, capsys, tmp_path,
                                       monkeypatch):
