@@ -26,6 +26,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
+MAX_COUNT = sys.maxsize // 16   # the longest complex128 array numpy takes
 
 #: Options of every subcommand: (name, type, default, sweepable, help).  The
 #: name is the config-file and metadata key; the flag is --name with dashes.
@@ -128,8 +129,8 @@ def _read_config_file(path: str) -> dict:
 def build_config(args: argparse.Namespace) -> dict:
     """Option key -> value, from flags, then the config file, then defaults.
 
-    Every command checks every shared option here, also one it does not
-    read: an explicit nmax, then the time grid, then the sample count."""
+    `main` calls it before any command, so each checks every shared option:
+    an explicit nmax, then the time grid, then steps in 2..MAX_COUNT."""
     file_values = _read_config_file(args.config) if args.config else {}
     cfg = {}
     for key, (name, kind, default, _, _) in _SPEC.items():
@@ -142,6 +143,8 @@ def build_config(args: argparse.Namespace) -> dict:
         raise ValueError("time grid needs 0 <= t_start <= t_end")
     if cfg["steps"] < 2:
         raise ValueError("steps must be >= 2")
+    if cfg["steps"] > MAX_COUNT:
+        raise ValueError(f"steps must be <= {MAX_COUNT}")
     return cfg
 
 
@@ -429,11 +432,12 @@ def _parse_grid(text: str):
     n1, n2 = (_number("grid", int, part) for part in parts)
     if n1 < 1 or n2 < 1:
         raise ValueError("grid sizes must be >= 1")
+    if max(n1, n2) > MAX_COUNT:
+        raise ValueError(f"grid sizes must be <= {MAX_COUNT}")
     return n1, n2
 
 
-def cmd_params(args) -> int:
-    cfg = build_config(args)
+def cmd_params(args, cfg) -> int:
     p = model_params(cfg)
     d = model.derive_params(p)
     ratio = model.domain(p, d)["ratio"]
@@ -450,8 +454,7 @@ def cmd_params(args) -> int:
     return EXIT_OK
 
 
-def cmd_timeseries(args) -> int:
-    cfg = build_config(args)
+def cmd_timeseries(args, cfg) -> int:
     p = model_params(cfg)
     d = model.derive_params(p)
     grid = cfg["t_start"], cfg["t_end"], cfg["steps"]
@@ -473,8 +476,7 @@ def cmd_timeseries(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep2d(args) -> int:
-    cfg = build_config(args)
+def cmd_sweep2d(args, cfg) -> int:
     axes = [_parse_axis(args.axis1), _parse_axis(args.axis2)]
     if axes[0][0] == axes[1][0]:
         raise ValueError(f"axis1 and axis2 both sweep {axes[0][0]!r}")
@@ -489,9 +491,8 @@ def cmd_sweep2d(args) -> int:
     return EXIT_OK
 
 
-def cmd_fig(args) -> int:
+def cmd_fig(args, cfg) -> int:
     outdir = args.output if args.output else "."
-    cfg = build_config(args)
     for name, axes, observable, columns in FIGURES[args.command]:
         if axes[0][0] == "t":
             counts, t_eval, extra = [cfg["steps"]], None, {}
@@ -512,10 +513,9 @@ def cmd_fig(args) -> int:
 DISENTANGLING_TIMES = (10.0, 100.0, 500.0)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, cfg) -> int:
     from . import liouville
 
-    cfg = build_config(args)
     p = model_params(cfg)
     d = model.derive_params(p)
     _require_finite(d.Omega_eff)
@@ -630,7 +630,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(_attach_negative_values(argv))
     try:
         with np.errstate(all="ignore"):
-            return COMMANDS[args.command][0](args)
+            return COMMANDS[args.command][0](args, build_config(args))
     # no input is a density matrix: an invalid one is the oracle's own state
     except (ArithmeticError, MemoryError, entanglement.InvalidDensityMatrix) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

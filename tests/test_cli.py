@@ -254,6 +254,19 @@ _ERROR_TEXT = {
         "error: steps must be >= 2\n",
     ("fig3", "--t-start", "-1", "--output", "d"):
         "error: time grid needs 0 <= t_start <= t_end\n",
+    **{argv: f"error: steps must be <= {sys.maxsize // 16}\n" for argv in (
+        ("timeseries", "--steps", "9223372036854775807"),
+        ("timeseries", "--steps", "9223372036854775808"),
+        ("timeseries", "--steps", "99999999999999999999"),
+        ("fig2", "--steps", "9223372036854775807", "--output", "d"),
+        ("params", "--steps", "9223372036854775807"),
+        ("verify", "--steps", "9223372036854775807"))},
+    **{argv: f"error: grid sizes must be <= {sys.maxsize // 16}\n" for argv in (
+        ("sweep2d", "--axis1", "lambda:0:1", "--axis2", "kappa:0:1e-3",
+         "--grid", "9223372036854775807x2"),
+        ("sweep2d", "--axis1", "lambda:0:1", "--axis2", "kappa:0:1e-3",
+         "--grid", "99999999999999999999x2"),
+        ("fig1", "--grid", "2x9223372036854775807", "--output", "d"))},
 }
 
 
@@ -333,6 +346,19 @@ class TestInputContract:
           "--grid", "3x2", "--t-start", "5", "--t-end", "1"], 2),
         (["fig1", "--grid", "3x2", "--steps", "1", "--output", "d"], 2),
         (["fig3", "--t-start", "-1", "--output", "d"], 2),
+        # a count above MAX_COUNT, the longest array numpy can address, named
+        # by its option (a traceback or numpy's own text before)
+        (["timeseries", "--steps", "9223372036854775807"], 2),
+        (["timeseries", "--steps", "9223372036854775808"], 2),
+        (["timeseries", "--steps", "99999999999999999999"], 2),
+        (["fig2", "--steps", "9223372036854775807", "--output", "d"], 2),
+        (["params", "--steps", "9223372036854775807"], 2),
+        (["verify", "--steps", "9223372036854775807"], 2),
+        (["sweep2d", "--axis1", "lambda:0:1", "--axis2", "kappa:0:1e-3",
+          "--grid", "9223372036854775807x2"], 2),
+        (["sweep2d", "--axis1", "lambda:0:1", "--axis2", "kappa:0:1e-3",
+          "--grid", "99999999999999999999x2"], 2),
+        (["fig1", "--grid", "2x9223372036854775807", "--output", "d"], 2),
     ])
     def test_exit_code_without_output(self, argv, code, capsys, tmp_path,
                                       monkeypatch):
